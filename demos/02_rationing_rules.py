@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 
 from ioshock import (
+    SweepSpec,
     aggregate_shocks,
     classify,
     coefficients,
-    ensemble_random,
     make_constraints,
     optimal_allocation,
     parse_economy_csv,
@@ -24,6 +24,8 @@ from ioshock import (
     ration_mixed,
     ration_proportional,
     solve_meem,
+    summarize,
+    sweep_scale,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -56,9 +58,13 @@ def main():
         show(name, res.allocation.x, res.allocation.f,
              f"({res.iterations} sweeps)")
 
-    stats = ensemble_random(e, op, c, n_samples=100, master_seed=0)
-    q25, q50, q75 = stats.output_quartiles
-    print(f"{'random (100 samples)':<22} mean output={stats.mean_output:.3f} "
+    spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),),
+                     random_samples=100, master_seed=0)
+    (stats,) = summarize(sweep_scale(e, s, spec))
+    # summaries hold output normalized by the baseline total
+    mean, q25, q50, q75 = (e.x.sum() * v for v in (
+        stats.mean_output, stats.q25_output, stats.q50_output, stats.q75_output))
+    print(f"{'random (100 samples)':<22} mean output={mean:.3f} "
           f" quartiles=({q25:.2f}, {q50:.2f}, {q75:.2f})")
 
     sol = solve_meem(e, op, c, classify(e, c))

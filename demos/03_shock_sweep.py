@@ -26,7 +26,7 @@ def main():
 
     grid = tuple((a / 10.0, a / 10.0) for a in range(11))
     spec = SweepSpec(methods=METHODS, grid=grid, random_samples=25,
-                     master_seed=42, workers=4)
+                     master_seed=42)
     summaries = summarize(sweep_scale(e, s, spec))
 
     print("normalized total output by shock scale")

@@ -45,7 +45,7 @@ def main():
 
     targets = tuple(round(m.density - 0.1 * k, 3) for k in range(4))
     spec = SweepSpec(methods=("lp_output", "proportional", "largest_first"),
-                     grid=targets, repetitions=20, master_seed=11, workers=4)
+                     grid=targets, repetitions=20, master_seed=11)
     summaries = summarize(sweep_density(e, scenario, spec))
 
     print("normalized output, pooled over 20 random link-removal replicates")

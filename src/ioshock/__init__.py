@@ -48,10 +48,8 @@ from .lp import (
 )
 from .meem import MeemPartition, MeemSolution, check_feasibility, classify, solve_meem
 from .rationing import (
-    EnsembleStats,
     RationingOptions,
     RationingResult,
-    ensemble_random,
     ration_largest_first,
     ration_mixed,
     ration_proportional,

@@ -11,9 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import __version__
 from .economy import coefficients, metrics
@@ -27,7 +26,14 @@ from .errors import (
     ParseError,
     UnknownIndustry,
 )
-from .experiments import ALL_METHODS, SweepSpec, run_method, summarize, sweep_density, sweep_scale
+from .experiments import (
+    ALL_METHODS,
+    SweepSpec,
+    evaluate_point,
+    summarize,
+    sweep_density,
+    sweep_scale,
+)
 from .fileio import file_digest, parse_economy_csv, parse_shocks_csv, write_results
 from .rationing import GENERATOR_NAME, RationingOptions
 from .shocks import aggregate_shocks, make_constraints
@@ -38,13 +44,36 @@ _VALIDATION_ERRORS = (
 )
 
 
-def _grid_values(text):
-    """Parse '0.3' or 'start:stop:step' into a list of floats."""
-    if ":" in text:
-        start, stop, step = (float(v) for v in text.split(":"))
-        count = int(round((stop - start) / step)) + 1
-        return [round(start + k * step, 12) for k in range(count)]
-    return [float(text)]
+def _grid_values(text, flag="grid"):
+    """Parse '0.3' or 'start:stop:step' into a nonempty list of finite
+    floats; ``flag`` names the option in error messages."""
+    try:
+        values = [float(v) for v in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) not in (1, 3) or not all(map(math.isfinite, values)):
+        raise ParseError(f"{flag} {text!r}: expected a finite number or start:stop:step")
+    if len(values) == 1:
+        return values
+    start, stop, step = values
+    if step == 0:
+        raise ParseError(f"{flag} {text!r}: step is zero")
+    if (stop - start) * step < 0:
+        # the grid would be empty or hold only the start
+        raise ParseError(f"{flag} {text!r}: step {step} leads away from stop {stop}")
+    count = int(round((stop - start) / step)) + 1
+    return [round(start + k * step, 12) for k in range(count)]
+
+
+def _check_numeric_flags(args):
+    """Reject iteration and sample settings no run can use."""
+    for name in ("samples", "reps", "max_iter"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ParseError(f"--tol must be finite and > 0, got {tol}")
 
 
 def _add_common(p, shocks_required=True):
@@ -68,7 +97,6 @@ def _add_common(p, shocks_required=True):
                    help="rationing convergence tolerance")
     p.add_argument("--max-iter", type=int, default=10**6,
                    help="rationing iteration cap")
-    p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--out", default="out", help="output directory")
 
 
@@ -161,11 +189,16 @@ def _cmd_validate(args):
     return 0
 
 
+def _alphas(args):
+    """The (alpha_supply, alpha_demand) grids of the command line."""
+    return (_grid_values(args.alpha_supply, "--alpha-supply"),
+            _grid_values(args.alpha_demand, "--alpha-demand"))
+
+
 def _scenario_at(scenario, args):
-    a_s = _grid_values(args.alpha_supply)
-    a_d = _grid_values(args.alpha_demand)
+    a_s, a_d = _alphas(args)
     if len(a_s) != 1 or len(a_d) != 1:
-        raise ParseError("this subcommand takes scalar alpha values")
+        raise ParseError(f"{args.command} takes scalar alpha values")
     return scenario.with_alphas(a_s[0], a_d[0])
 
 
@@ -182,21 +215,21 @@ def _cmd_shock(args):
 def _cmd_run(args):
     economy, scenario = _load(args)
     scenario = _scenario_at(scenario, args)
-    op = coefficients(economy)
-    c = make_constraints(economy, scenario)
-    opts = RationingOptions(tol=args.tol, max_iter=args.max_iter)
-    allocations = []
-    for method in _methods(args.methods):
-        seed = np.random.SeedSequence([args.seed, 0])
-        allocation, converged = run_method(method, economy, op, c, opts, seed)
-        allocations.append(allocation)
-        if not converged:
-            print(f"warning: {method} did not converge", file=sys.stderr)
     spec = SweepSpec(methods=_methods(args.methods),
                      grid=((scenario.alpha_supply, scenario.alpha_demand),),
                      random_samples=args.samples, master_seed=args.seed,
-                     options=opts, workers=args.workers)
-    records = sweep_scale(economy, scenario, spec)
+                     options=RationingOptions(tol=args.tol, max_iter=args.max_iter))
+    op = coefficients(economy)
+    c = make_constraints(economy, scenario)
+    records, allocations = evaluate_point(economy, op, c, spec, 0, 0,
+                                          scenario.alpha_supply,
+                                          scenario.alpha_demand)
+    for r in records:
+        # allocations.csv holds sample 0, so warn about that one
+        if r.sample == 0 and r.error:
+            print(f"warning: {r.method} failed: {r.error}", file=sys.stderr)
+        elif r.sample == 0 and not r.converged:
+            print(f"warning: {r.method} did not converge", file=sys.stderr)
     files = write_results(args.out, economy, c, allocations, records,
                           summarize(records), _provenance(args))
     print("\n".join(files))
@@ -205,15 +238,13 @@ def _cmd_run(args):
 
 def _cmd_sweep_scale(args):
     economy, scenario = _load(args)
-    grid = tuple((a_s, a_d)
-                 for a_s in _grid_values(args.alpha_supply)
-                 for a_d in _grid_values(args.alpha_demand))
+    a_s, a_d = _alphas(args)
     spec = SweepSpec(
-        methods=_methods(args.methods), grid=grid,
+        methods=_methods(args.methods),
+        grid=tuple((s, d) for s in a_s for d in a_d),
         repetitions=args.reps, random_samples=args.samples,
         master_seed=args.seed,
         options=RationingOptions(tol=args.tol, max_iter=args.max_iter),
-        workers=args.workers,
     )
     records = sweep_scale(economy, scenario, spec)
     c = make_constraints(economy, scenario)
@@ -225,22 +256,19 @@ def _cmd_sweep_scale(args):
 
 def _cmd_sweep_density(args):
     economy, scenario = _load(args)
-    a_s = _grid_values(args.alpha_supply)
-    a_d = _grid_values(args.alpha_demand)
-    if len(a_s) != 1 or len(a_d) != 1:
-        raise ParseError("sweep-density takes scalar alpha values")
+    scenario = _scenario_at(scenario, args)
     spec = SweepSpec(
         methods=_methods(args.methods),
-        grid=tuple(_grid_values(args.densities)),
+        grid=tuple(_grid_values(args.densities, "--densities")),
         removal_mode=args.removal_mode,
         repetitions=args.reps, random_samples=args.samples,
         master_seed=args.seed,
         options=RationingOptions(tol=args.tol, max_iter=args.max_iter),
-        workers=args.workers,
     )
     records = sweep_density(economy, scenario, spec,
-                            alpha_supply=a_s[0], alpha_demand=a_d[0])
-    c = make_constraints(economy, scenario.with_alphas(a_s[0], a_d[0]))
+                            alpha_supply=scenario.alpha_supply,
+                            alpha_demand=scenario.alpha_demand)
+    c = make_constraints(economy, scenario)
     files = write_results(args.out, economy, c, [], records,
                           summarize(records),
                           _provenance(args, {"removal_mode": args.removal_mode}))
@@ -261,6 +289,7 @@ def run_command(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_numeric_flags(args)
         return _COMMANDS[args.command](args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

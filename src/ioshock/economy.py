@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
@@ -73,8 +73,6 @@ class LeontiefOperator:
     L: np.ndarray
     #: fingerprint of the Economy this operator was built from
     source: str
-    # LU factors of (I - A), kept for solves against the same economy
-    _lu: tuple = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -162,7 +160,7 @@ def coefficients(e: Economy) -> LeontiefOperator:
         raise NonProductive(
             f"Leontief inverse has entry {np.min(L):.3e} < {_HS_TOLERANCE}"
         )
-    return LeontiefOperator(A=_frozen(A), L=_frozen(L), source=e.fingerprint(), _lu=lu)
+    return LeontiefOperator(A=_frozen(A), L=_frozen(L), source=e.fingerprint())
 
 
 def total_demand(op: LeontiefOperator, f) -> np.ndarray:

@@ -2,14 +2,12 @@
 
 Both sweeps evaluate every requested propagation method on identical
 constraints at each grid point and emit one flat record per evaluation.
-Per-unit random seeds are derived from (master seed, grid index,
-replicate, sample), so results are bit-identical regardless of worker
-count or scheduling.
+Random seeds are derived from (master seed, grid index, replicate,
+sample), so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +55,15 @@ class SweepSpec:
     random_samples: int = 1
     master_seed: int = 0
     options: RationingOptions = RationingOptions()
-    workers: int = 1
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.random_samples < 1:
+            raise ValueError("random_samples must be >= 1")
         for g in self.grid:
             vals = g if isinstance(g, tuple) else (g,)
-            if any(v < 0 or v > 1 for v in vals):
+            if not all(0 <= v <= 1 for v in vals):
                 raise ValueError(f"grid value {g} outside [0, 1]")
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
@@ -144,11 +143,16 @@ def run_method(method, e, op, c, opts=RationingOptions(), seed=None):
 
 def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
                    alpha_supply, alpha_demand, density_target=float("nan")):
-    """All method records for one (grid point, replicate) on one economy."""
+    """Evaluate every method once per sample at one (grid point, replicate).
+
+    Returns the records, one per evaluation, and the allocations of each
+    method's sample 0 that did not raise.
+    """
     m = metrics(e, op)
     base_x = m.total_output
     base_f = m.total_consumption
     records = []
+    allocations = []
 
     def record(method, sample, allocation, converged, error=""):
         if allocation is None:
@@ -181,10 +185,13 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
             try:
                 allocation, converged = run_method(method, e, op, c,
                                                    spec.options, seed)
-                record(method, k, allocation, converged)
             except IoShockError as exc:
                 record(method, k, None, False, error=str(exc))
-    return records
+                continue
+            record(method, k, allocation, converged)
+            if k == 0:
+                allocations.append(allocation)
+    return records, allocations
 
 
 def sweep_scale(e: Economy, s: ShockScenario, spec: SweepSpec):
@@ -193,16 +200,12 @@ def sweep_scale(e: Economy, s: ShockScenario, spec: SweepSpec):
     if not spec.grid:
         raise ValueError("grid must be nonempty")
     op = coefficients(e)
-
-    def unit(args):
-        g, (a_s, a_d), rep = args
+    records = []
+    for g, (a_s, a_d) in enumerate(spec.grid):
         c = make_constraints(e, s.with_alphas(a_s, a_d))
-        return evaluate_point(e, op, c, spec, g, rep, a_s, a_d)
-
-    units = [(g, point, rep)
-             for g, point in enumerate(spec.grid)
-             for rep in range(spec.repetitions)]
-    return _run_units(unit, units, spec.workers)
+        for rep in range(spec.repetitions):
+            records += evaluate_point(e, op, c, spec, g, rep, a_s, a_d)[0]
+    return records
 
 
 def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec,
@@ -220,52 +223,41 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec,
     current = float(np.count_nonzero(e.Z > 0) / n**2)
     positive = [(int(i), int(j)) for i, j in zip(*np.nonzero(e.Z > 0))]
     reps = 1 if spec.removal_mode == "smallest_first" else spec.repetitions
-
-    def unit(args):
-        g, target, rep = args
-        k = int(round((current - target) * n**2))
-        k = min(max(k, 0), len(positive))
-        if spec.removal_mode == "smallest_first":
-            links = smallest_links(e, k)
-        elif spec.removal_mode == "random":
-            rng = np.random.default_rng(_removal_seed(spec.master_seed, g, rep))
-            chosen = rng.choice(len(positive), size=k, replace=False)
-            links = [positive[t] for t in chosen]
-        else:
-            raise ValueError(f"unknown removal mode {spec.removal_mode!r}")
-        e2 = remove_links(e, links)
-        try:
-            op2 = coefficients(e2)
-        except IoShockError as exc:
-            return [SweepRecord(
-                alpha_supply=alpha_supply, alpha_demand=alpha_demand,
-                density_target=target, method=method, replicate=rep, sample=0,
-                total_output=float("nan"), total_consumption=float("nan"),
-                norm_output=float("nan"), norm_consumption=float("nan"),
-                feasible=False, converged=False,
-                avg_multiplier=float("nan"), intermediate_share=float("nan"),
-                error=str(exc),
-            ) for method in spec.methods]
-        c2 = make_constraints(e2, s.with_alphas(alpha_supply, alpha_demand))
-        return evaluate_point(e2, op2, c2, spec, g, rep,
-                              alpha_supply, alpha_demand, density_target=target)
-
-    units = [(g, target, rep)
-             for g, target in enumerate(spec.grid)
-             for rep in range(reps)]
-    for _, target, _ in units:
+    for target in spec.grid:
         if target > current + 1e-12:
             raise ValueError(f"target density {target} above current {current}")
-    return _run_units(unit, units, spec.workers)
 
-
-def _run_units(fn, units, workers):
-    if workers <= 1:
-        chunks = [fn(u) for u in units]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(fn, units))
-    return [rec for chunk in chunks for rec in chunk]
+    records = []
+    for g, target in enumerate(spec.grid):
+        k = int(round((current - target) * n**2))
+        k = min(max(k, 0), len(positive))
+        for rep in range(reps):
+            if spec.removal_mode == "smallest_first":
+                links = smallest_links(e, k)
+            elif spec.removal_mode == "random":
+                rng = np.random.default_rng(_removal_seed(spec.master_seed, g, rep))
+                chosen = rng.choice(len(positive), size=k, replace=False)
+                links = [positive[t] for t in chosen]
+            else:
+                raise ValueError(f"unknown removal mode {spec.removal_mode!r}")
+            e2 = remove_links(e, links)
+            try:
+                op2 = coefficients(e2)
+            except IoShockError as exc:
+                records += [SweepRecord(
+                    alpha_supply=alpha_supply, alpha_demand=alpha_demand,
+                    density_target=target, method=method, replicate=rep, sample=0,
+                    total_output=float("nan"), total_consumption=float("nan"),
+                    norm_output=float("nan"), norm_consumption=float("nan"),
+                    feasible=False, converged=False,
+                    avg_multiplier=float("nan"), intermediate_share=float("nan"),
+                    error=str(exc),
+                ) for method in spec.methods]
+                continue
+            c2 = make_constraints(e2, s.with_alphas(alpha_supply, alpha_demand))
+            records += evaluate_point(e2, op2, c2, spec, g, rep, alpha_supply,
+                                      alpha_demand, density_target=target)[0]
+    return records
 
 
 def summarize(records):

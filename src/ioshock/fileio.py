@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -62,11 +63,14 @@ def _data_rows(path):
 
 def _parse_float(cell, path, lineno, col):
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ParseError(
             f"{path}:{lineno} column {col + 1}: {cell!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno} column {col + 1}: {cell!r} is not finite")
+    return value
 
 
 def parse_economy_csv(path) -> Economy:
@@ -181,7 +185,7 @@ def parse_shocks_csv(path, labels, percent=False, allow_missing=False,
 
 
 def _require_unit(value, name, path, lineno):
-    if value < 0 or value > 1:
+    if not 0 <= value <= 1:
         raise OutOfRange(f"{name} {value} outside [0, 1]")
     return value
 

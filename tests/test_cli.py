@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from ioshock import file_digest
+from ioshock import experiments, file_digest
 from ioshock.cli import _grid_values, build_parser, run_command
+from ioshock.errors import ParseError, SolverFailure
 
 ECONOMY = """\
 industry,upstream,parts,goods,final_demand
@@ -49,6 +50,13 @@ class TestGridValues:
         assert vals[3] == 0.3
 
 
+    @pytest.mark.parametrize("text", ["0:1:0", "1:0:0.1", "0:1:-0.5", "0:1",
+                                      "nan", "0:inf:0.1", "0.5,0.3", ""])
+    def test_rejected(self, text):
+        with pytest.raises(ParseError, match="--densities"):
+            _grid_values(text, "--densities")
+
+
 class TestParser:
     def test_subcommands_exist(self):
         parser = build_parser()
@@ -62,6 +70,33 @@ class TestParser:
     def test_missing_subcommand_fails(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command,flag,value", [
+        ("sweep-scale", "--alpha-supply", "0:1:0"),
+        ("sweep-scale", "--alpha-supply", "1:0:0.1"),
+        ("sweep-scale", "--alpha-demand", "0:1:-0.5"),
+        ("run", "--alpha-supply", "nan"),
+        ("sweep-density", "--densities", "0.1:0.5:-0.1"),
+        ("sweep-density", "--densities", "0.5,0.3,0.1"),
+        ("sweep-scale", "--samples", "0"),
+        ("run", "--samples", "0"),
+        ("sweep-density", "--reps", "0"),
+        ("sweep-scale", "--max-iter", "0"),
+        ("sweep-scale", "--tol", "-1"),
+        ("run", "--tol", "0"),
+        ("run", "--tol", "nan"),
+        ("run", "--tol", "inf"),
+    ])
+    def test_bad_value_exits_one(self, files, capsys, command, flag, value):
+        argv = [command, "--economy", files["economy"], "--shocks",
+                files["shocks"], "--out", files["out"], "--max-iter", "50"]
+        if command == "sweep-density":
+            argv += ["--densities", "0.2"]
+        assert run_command(argv + [flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
 
 
 class TestValidate:
@@ -92,6 +127,20 @@ class TestValidate:
                        encoding="utf-8")
         assert run_command(["validate", "--economy", files["economy"],
                             "--shocks", str(bad)]) == 1
+
+    @pytest.mark.parametrize("which", ["economy", "shocks"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_input_cell_exits_one(self, tmp_path, files, capsys,
+                                             which, cell):
+        text, good = {"economy": (ECONOMY, "upstream,0,"),
+                      "shocks": (SHOCKS, "upstream,0.5,")}[which]
+        bad = tmp_path / f"bad_{which}.csv"
+        bad.write_text(text.replace(good, f"upstream,{cell},"), encoding="utf-8")
+        paths = dict(files, **{which: str(bad)})
+        assert run_command(["validate", "--economy", paths["economy"],
+                            "--shocks", paths["shocks"]]) == 1
+        err = capsys.readouterr().err
+        assert f"bad_{which}.csv:2 column 2: {cell!r} is not finite" in err
 
 
 class TestShock:
@@ -144,6 +193,48 @@ class TestRun:
         paths = capsys.readouterr().out.splitlines()
         _, rows = read_table(paths[0])
         assert {r["method"] for r in rows} == {"proportional", "lp_output"}
+
+    def test_random_allocation_is_sweep_sample_zero(self, tmp_path, files, capsys):
+        # chain3's two random rankings give different totals, so a draw
+        # apart from the sweep's sample 0 would disagree on some seed
+        for seed in range(8):
+            out = tmp_path / f"o{seed}"
+            assert run_command(["run", "--economy", files["economy"],
+                                "--shocks", files["shocks"], "--out", str(out),
+                                "--methods", "random", "--samples", "3",
+                                "--seed", str(seed)]) == 0
+            _, allocation = read_table(out / "allocations.csv")
+            _, sweep = read_table(out / "sweep.csv")
+            (sample0,) = [r for r in sweep if r["sample"] == "0"]
+            assert sum(float(r["x"]) for r in allocation) == pytest.approx(
+                float(sample0["total_output"]), rel=1e-12)
+            assert sum(float(r["f"]) for r in allocation) == pytest.approx(
+                float(sample0["total_consumption"]), rel=1e-12)
+
+    def test_failing_method_is_an_error_record(self, files, capsys, monkeypatch):
+        real = experiments.optimal_allocation
+
+        def failing(e, c, objective, op=None):
+            if objective == "consumption":
+                raise SolverFailure("simplex terminated at a point violating its bounds")
+            return real(e, c, objective, op)
+
+        monkeypatch.setattr(experiments, "optimal_allocation", failing)
+        assert run_command(["run", "--economy", files["economy"],
+                            "--shocks", files["shocks"],
+                            "--out", files["out"], "--samples", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: lp_consumption failed: simplex "
+                                "terminated at a point violating its bounds\n")
+        allocation, sweep, summary = (read_table(p)[1]
+                                      for p in captured.out.splitlines())
+        assert "lp_consumption" not in {r["method"] for r in allocation}
+        assert len(allocation) == 7 * 3
+        assert len(sweep) == 7 + 5
+        (failed,) = [r for r in sweep if r["method"] == "lp_consumption"]
+        assert failed["error"].startswith("simplex terminated")
+        (row,) = [r for r in summary if r["method"] == "lp_consumption"]
+        assert (row["count"], row["failures"]) == ("1", "1")
 
     def test_unknown_method_exits_two(self, files, capsys):
         assert run_command(["run", "--economy", files["economy"],

@@ -27,7 +27,6 @@ class TestSweepSpec:
     def test_defaults(self):
         spec = SweepSpec()
         assert spec.methods == ALL_METHODS
-        assert spec.workers == 1
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
@@ -105,13 +104,6 @@ class TestSweepScale:
         assert len(records) == 11 * 2 * (1 + 3)
         alphas = {r.alpha_supply for r in records}
         assert len(alphas) == 11
-
-    def test_worker_count_does_not_change_results(self, chain3, chain3_scenario):
-        grid = tuple((a, a) for a in (0.0, 0.3, 0.7, 1.0))
-        kw = dict(grid=grid, repetitions=2, random_samples=3, master_seed=11)
-        serial = sweep_scale(chain3, chain3_scenario, SweepSpec(workers=1, **kw))
-        threaded = sweep_scale(chain3, chain3_scenario, SweepSpec(workers=8, **kw))
-        assert serial == threaded
 
     def test_empty_grid_rejected(self, chain3, chain3_scenario):
         with pytest.raises(ValueError):

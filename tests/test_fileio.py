@@ -89,6 +89,12 @@ class TestParseEconomy:
         with pytest.raises(ParseError, match=r"e\.csv:5"):
             parse_economy_csv(write(tmp_path, "e.csv", bad))
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_reports_location(self, tmp_path, cell):
+        bad = CHAIN3_CSV.replace("goods,0,0,0,8", f"goods,0,0,{cell},8")
+        with pytest.raises(ParseError, match=r"e\.csv:5 column 4: .* not finite"):
+            parse_economy_csv(write(tmp_path, "e.csv", bad))
+
     def test_negative_flow_rejected(self, tmp_path):
         bad = CHAIN3_CSV.replace("upstream,0,4,2,4", "upstream,0,-4,2,4")
         with pytest.raises(NegativeEntry):
@@ -182,6 +188,17 @@ class TestParseShocks:
                 "upstream,0.5,0\nparts,1.5,0\ngoods,0,0\n")
         with pytest.raises(OutOfRange, match=r"s\.csv:3"):
             parse_shocks_csv(write(tmp_path, "s.csv", text), self.LABELS)
+
+    @pytest.mark.parametrize("text", [
+        "industry,supply_shock,demand_shock\nparts,{},0\n",
+        "industry,supply_shock,demand_shock\nparts,0,{}\n",
+        "industry,rli,essential_share,demand_shock\nparts,{},0.5,0\n",
+    ])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_location(self, tmp_path, text, cell):
+        path = write(tmp_path, "s.csv", text.format(cell))
+        with pytest.raises(ParseError, match=r"s\.csv:2 column \d: .* not finite"):
+            parse_shocks_csv(path, self.LABELS)
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError, match="header must be"):

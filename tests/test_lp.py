@@ -14,7 +14,7 @@ from ioshock import (
     optimal_allocation,
     solve,
 )
-from ioshock.errors import DimensionMismatch
+from ioshock.errors import DimensionMismatch, SolverFailure
 
 from conftest import random_economy, random_scenario
 
@@ -100,10 +100,6 @@ class TestBuilders:
             LinearProgram(np.ones(1), np.array([1.0]), np.array([0.0]),
                           np.ones((1, 1)), np.zeros(1), np.ones(1))
 
-    def test_dump_is_text(self, pair2_op, pair2_constraints):
-        text = build_max_output_lp(pair2_op, pair2_constraints).dump()
-        assert "maximize" in text and "row 0" in text and "var 1" in text
-
 
 class TestSolve:
     def test_pair2_max_output(self, pair2_op, pair2_constraints):
@@ -153,6 +149,25 @@ class TestSolve:
             mid = Constraints(0.5 * (base.x_max + other.x_max),
                               0.5 * (base.f_max + other.f_max))
             assert opt(mid) >= 0.5 * (opt(base) + opt(other)) - 1e-8
+
+    def test_singular_basis_is_solver_failure(self):
+        # Reduced from a consumption LP of a thinned sparse economy: rows
+        # 1 and 6 pin y2 and y1 to zero, the pivots are degenerate, and a
+        # rounding-noise entry of 1.8e-9 passes the pivot tolerance, so
+        # the next basis is exactly singular.
+        G = np.zeros((7, 6))
+        G[0, :2] = [-0.001, 1.0]
+        G[1, 2] = -0.004
+        G[2, [0, 2]] = [-0.01, 1.0]
+        G[3, 3:5] = [1.0, -0.01]
+        G[4, 4:6] = [1.0, -0.01]
+        G[5, [0, 5]] = [-0.0005, 1.0]
+        G[6, 1] = -0.05
+        lp = LinearProgram(c=np.array([1.0, 1.0, 1.0, 0.97, 0.98, 1.0]),
+                           lb=np.zeros(6), ub=np.array([1.0, 1, 1, 1, 1, 2]),
+                           G=G, row_lb=np.zeros(7), row_ub=np.ones(7))
+        with pytest.raises(SolverFailure, match="singular"):
+            solve(lp)
 
 
 class TestOptimalAllocation:

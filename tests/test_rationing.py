@@ -6,15 +6,17 @@ from ioshock import (
     Constraints,
     RationingOptions,
     ShockScenario,
+    SweepSpec,
     build_economy,
     coefficients,
-    ensemble_random,
     make_constraints,
     optimal_allocation,
     ration_largest_first,
     ration_mixed,
     ration_proportional,
     ration_random,
+    summarize,
+    sweep_scale,
     total_demand,
 )
 from ioshock.rationing import random_rankings
@@ -152,32 +154,43 @@ class TestRandom:
         npt.assert_array_equal(a.allocation.f, b.allocation.f)
 
 
+def random_ensemble(e, scenario, samples, seed):
+    """Summary of `samples` random-rationing runs at full shock scale."""
+    spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),),
+                     random_samples=samples, master_seed=seed)
+    (summary,) = summarize(sweep_scale(e, scenario, spec))
+    return summary
+
+
 class TestEnsemble:
-    def test_pair2_iqr_zero(self, pair2, pair2_op, pair2_constraints):
-        stats = ensemble_random(pair2, pair2_op, pair2_constraints, 100, 7)
-        q25, q50, q75 = stats.output_quartiles
-        assert q75 - q25 == pytest.approx(0.0, abs=1e-12)
+    def test_pair2_iqr_zero(self, pair2, pair2_scenario, pair2_constraints):
+        c = make_constraints(pair2, pair2_scenario)
+        npt.assert_array_equal(c.x_max, pair2_constraints.x_max)
+        npt.assert_array_equal(c.f_max, pair2_constraints.f_max)
+        stats = random_ensemble(pair2, pair2_scenario, 100, 7)
+        assert stats.q75_output - stats.q25_output == pytest.approx(0.0, abs=1e-12)
         assert stats.failures == 0
 
-    def test_single_sample(self, chain3, chain3_op, chain3_constraints):
-        stats = ensemble_random(chain3, chain3_op, chain3_constraints, 1, 0)
-        assert stats.output_quartiles[0] == stats.output_quartiles[2]
-        assert stats.mean_output == pytest.approx(stats.output_quartiles[1])
+    def test_single_sample(self, chain3, chain3_scenario):
+        stats = random_ensemble(chain3, chain3_scenario, 1, 0)
+        assert stats.count == 1
+        assert stats.q25_output == stats.q75_output
+        assert stats.mean_output == pytest.approx(stats.q50_output)
 
-    def test_chain3_mean_between_outcomes(self, chain3, chain3_op, chain3_constraints):
-        stats = ensemble_random(chain3, chain3_op, chain3_constraints, 400, 5)
+    def test_chain3_mean_between_outcomes(self, chain3, chain3_scenario):
+        stats = random_ensemble(chain3, chain3_scenario, 400, 5)
+        mean_output = stats.mean_output * chain3.x.sum()
         # the two equally likely rankings give total output 15 and 17.5
-        assert 15.0 < stats.mean_output < 17.5
-        assert stats.mean_output == pytest.approx(16.25, abs=0.35)
+        assert 15.0 < mean_output < 17.5
+        assert mean_output == pytest.approx(16.25, abs=0.35)
 
-    def test_quartile_ordering(self, chain3, chain3_op, chain3_constraints):
-        stats = ensemble_random(chain3, chain3_op, chain3_constraints, 50, 21)
-        q25, q50, q75 = stats.output_quartiles
-        assert q25 <= q50 <= q75
+    def test_quartile_ordering(self, chain3, chain3_scenario):
+        stats = random_ensemble(chain3, chain3_scenario, 50, 21)
+        assert stats.q25_output <= stats.q50_output <= stats.q75_output
 
-    def test_rejects_zero_samples(self, chain3, chain3_op, chain3_constraints):
+    def test_rejects_zero_samples(self, chain3, chain3_scenario):
         with pytest.raises(ValueError):
-            ensemble_random(chain3, chain3_op, chain3_constraints, 0, 0)
+            random_ensemble(chain3, chain3_scenario, 0, 0)
 
 
 class TestSharedProperties:
@@ -254,10 +267,3 @@ class TestSharedProperties:
         rand = ration_random(e, op, c, 11)
         npt.assert_allclose(large.allocation.x, mixed.allocation.x, atol=1e-9)
         npt.assert_allclose(rand.allocation.x, mixed.allocation.x, atol=1e-9)
-
-    def test_trajectory_logging(self, pair2, pair2_op, pair2_constraints):
-        res = ration_proportional(pair2, pair2_op, pair2_constraints,
-                                  RationingOptions(track_trajectory=True))
-        assert len(res.trajectory) == res.iterations
-        d0, x0, f0 = res.trajectory[0]
-        npt.assert_allclose(d0, pair2_op.L @ pair2_constraints.f_max)
