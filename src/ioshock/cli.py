@@ -43,6 +43,9 @@ _VALIDATION_ERRORS = (
     UnknownIndustry, MissingIndustry, DimensionMismatch,
 )
 
+#: most points a start:stop:step grid may hold
+MAX_GRID_POINTS = 10_000
+
 
 def _grid_values(text, flag="grid"):
     """Parse '0.3' or 'start:stop:step' into a nonempty list of finite
@@ -61,7 +64,11 @@ def _grid_values(text, flag="grid"):
     if (stop - start) * step < 0:
         # the grid would be empty or hold only the start
         raise ParseError(f"{flag} {text!r}: step {step} leads away from stop {stop}")
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    # compared as a float first: round() of an overflowed, infinite span raises
+    if not span < MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+        raise ParseError(f"{flag} {text!r}: more than {MAX_GRID_POINTS} points")
+    count = round(span) + 1
     return [round(start + k * step, 12) for k in range(count)]
 
 
@@ -224,11 +231,16 @@ def _cmd_run(args):
     records, allocations = evaluate_point(economy, op, c, spec, 0, 0,
                                           scenario.alpha_supply,
                                           scenario.alpha_demand)
+    for rep in range(1, args.reps):
+        records += evaluate_point(economy, op, c, spec, 0, rep,
+                                  scenario.alpha_supply,
+                                  scenario.alpha_demand)[0]
     for r in records:
-        # allocations.csv holds sample 0, so warn about that one
-        if r.sample == 0 and r.error:
+        # allocations.csv holds replicate 0, sample 0, so warn about that one
+        first = r.replicate == 0 and r.sample == 0
+        if first and r.error:
             print(f"warning: {r.method} failed: {r.error}", file=sys.stderr)
-        elif r.sample == 0 and not r.converged:
+        elif first and not r.converged:
             print(f"warning: {r.method} did not converge", file=sys.stderr)
     files = write_results(args.out, economy, c, allocations, records,
                           summarize(records), _provenance(args))
@@ -257,9 +269,15 @@ def _cmd_sweep_scale(args):
 def _cmd_sweep_density(args):
     economy, scenario = _load(args)
     scenario = _scenario_at(scenario, args)
+    densities = _grid_values(args.densities, "--densities")
+    highest = max(densities)
+    if highest > economy.density + 1e-12:
+        # thinning removes links; it cannot reach a denser network
+        raise ParseError(f"--densities {args.densities!r}: target {highest} "
+                         f"above the economy's density {economy.density}")
     spec = SweepSpec(
         methods=_methods(args.methods),
-        grid=tuple(_grid_values(args.densities, "--densities")),
+        grid=tuple(densities),
         removal_mode=args.removal_mode,
         repetitions=args.reps, random_samples=args.samples,
         master_seed=args.seed,

@@ -58,6 +58,11 @@ class Economy:
     def n(self) -> int:
         return len(self.labels)
 
+    @property
+    def density(self) -> float:
+        """Share of the n**2 flows that are positive."""
+        return float(np.count_nonzero(self.Z > 0) / self.n**2)
+
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(np.ascontiguousarray(self.Z).tobytes())
@@ -206,5 +211,5 @@ def metrics(e: Economy, op: LeontiefOperator) -> EconomyMetrics:
         intermediate_share=float(e.Z.sum() / e.x.sum()) if e.x.sum() > 0 else 0.0,
         total_output=float(e.x.sum()),
         total_consumption=float(e.f.sum()),
-        density=float(np.count_nonzero(e.Z > 0) / n**2),
+        density=e.density,
     )

@@ -220,7 +220,7 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec,
     if not spec.grid:
         raise ValueError("grid must be nonempty")
     n = e.n
-    current = float(np.count_nonzero(e.Z > 0) / n**2)
+    current = e.density
     positive = [(int(i), int(j)) for i, j in zip(*np.nonzero(e.Z > 0))]
     reps = 1 if spec.removal_mode == "smallest_first" else spec.repetitions
     for target in spec.grid:

@@ -67,38 +67,45 @@ def _mixed_ratios(d, avail, A):
         return np.where(inter > 0, avail / np.where(inter > 0, inter, 1.0), np.inf)
 
 
-def _bottleneck(r, A):
-    # s_i = min over suppliers j (a_ji > 0) of min(r_j, 1); 1 if no suppliers
-    capped = np.minimum(r, 1.0)
-    has_supplier = A > 0  # has_supplier[j, i]: j supplies i
-    s = np.ones(A.shape[0])
-    for i in range(A.shape[0]):
-        suppliers = np.flatnonzero(has_supplier[:, i])
-        if suppliers.size:
-            s[i] = capped[suppliers].min()
-    return s
+def _bottleneck(r, has_supplier):
+    # s_i = min over suppliers j (has_supplier[j, i]: a_ji > 0) of
+    # min(r_j, 1); 1 if no suppliers
+    return np.where(has_supplier, np.minimum(r, 1.0)[:, None], 1.0).min(
+        axis=0, initial=1.0)
 
 
-def _priority_bottleneck(d, avail, A, rankings):
+def _padded_rankings(A, rankings):
+    """Rankings as a padded (n, max out-degree) layout: customer indices
+    and their coefficients A[i, order]. Padding is customer 0 at
+    coefficient 0, which neither draws on capacity nor bounds anyone."""
+    n = A.shape[0]
+    sizes = np.array([order.size for order in rankings])
+    filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    cols = np.zeros(filled.shape, dtype=np.intp)
+    cols[filled] = np.concatenate(rankings)  # row-major, so in rank order
+    coef = np.where(filled, A[np.arange(n)[:, None], cols], 0.0)
+    return cols, coef
+
+
+def _priority_bottleneck(d, avail, cols, coef):
     """Bottlenecks when suppliers serve intermediate customers in rank order.
 
     Capacity is granted greedily down the ranking: a customer's ratio is
     the supplier's capacity left after everyone ranked above it, divided
     by its own demand, so total grants never exceed availability. The
     customer's binding constraint is its worst ratio across suppliers.
+    Row i of ``cols``/``coef`` is supplier i's ranking (see
+    ``_padded_rankings``). The row-wise cumsum adds in rank order, so the
+    result is bitwise that of serving one supplier at a time.
     """
-    n = A.shape[0]
-    s = np.ones(n)
-    for i in range(n):
-        order = rankings[i]
-        if order.size == 0:
-            continue
-        w = A[i, order] * d[order]
-        cum_before = np.concatenate(([0.0], np.cumsum(w)[:-1]))
-        remaining = np.maximum(avail[i] - cum_before, 0.0)
-        with np.errstate(divide="ignore"):
-            r = np.where(w > 0, remaining / np.where(w > 0, w, 1.0), np.inf)
-        np.minimum.at(s, order, np.minimum(r, 1.0))
+    w = coef * d[cols]
+    cum_before = np.zeros_like(w)
+    np.cumsum(w[:, :-1], axis=1, out=cum_before[:, 1:])
+    remaining = np.maximum(avail[:, None] - cum_before, 0.0)
+    with np.errstate(divide="ignore"):
+        r = np.where(w > 0, remaining / np.where(w > 0, w, 1.0), np.inf)
+    s = np.ones(d.shape)
+    np.minimum.at(s, cols, np.minimum(r, 1.0))
     return s
 
 
@@ -145,9 +152,10 @@ def ration_proportional(e: Economy, op: LeontiefOperator, c: Constraints,
                         opts: RationingOptions = RationingOptions()) -> RationingResult:
     """All customers, final consumers included, are rationed by the same share."""
     _check_dims(e, op, c)
+    has_supplier = op.A > 0
     return _iterate(
         e, op, c, opts,
-        lambda d, avail: _bottleneck(_proportional_ratios(d, avail), op.A),
+        lambda d, avail: _bottleneck(_proportional_ratios(d, avail), has_supplier),
         "proportional",
     )
 
@@ -156,17 +164,19 @@ def ration_mixed(e: Economy, op: LeontiefOperator, c: Constraints,
                  opts: RationingOptions = RationingOptions()) -> RationingResult:
     """Proportional among industries, with industries served before consumers."""
     _check_dims(e, op, c)
+    has_supplier = op.A > 0
     return _iterate(
         e, op, c, opts,
-        lambda d, avail: _bottleneck(_mixed_ratios(d, avail, op.A), op.A),
+        lambda d, avail: _bottleneck(_mixed_ratios(d, avail, op.A), has_supplier),
         "mixed",
     )
 
 
 def _ranked_result(e, op, c, opts, rankings, method):
+    cols, coef = _padded_rankings(op.A, rankings)
     return _iterate(
         e, op, c, opts,
-        lambda d, avail: _priority_bottleneck(d, avail, op.A, rankings),
+        lambda d, avail: _priority_bottleneck(d, avail, cols, coef),
         method,
     )
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ioshock import experiments, file_digest
-from ioshock.cli import _grid_values, build_parser, run_command
+from ioshock.cli import MAX_GRID_POINTS, _grid_values, build_parser, run_command
 from ioshock.errors import ParseError, SolverFailure
 
 ECONOMY = """\
@@ -49,9 +49,13 @@ class TestGridValues:
         assert len(vals) == 11
         assert vals[3] == 0.3
 
+    def test_largest_allowed_grid(self):
+        assert len(_grid_values(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
     @pytest.mark.parametrize("text", ["0:1:0", "1:0:0.1", "0:1:-0.5", "0:1",
-                                      "nan", "0:inf:0.1", "0.5,0.3", ""])
+                                      "nan", "0:inf:0.1", "0.5,0.3", "",
+                                      "0:1:1e-9", f"0:{MAX_GRID_POINTS}:1",
+                                      "-1e308:1e308:1"])
     def test_rejected(self, text):
         with pytest.raises(ParseError, match="--densities"):
             _grid_values(text, "--densities")
@@ -78,6 +82,7 @@ class TestNumericFlags:
         ("sweep-scale", "--alpha-supply", "1:0:0.1"),
         ("sweep-scale", "--alpha-demand", "0:1:-0.5"),
         ("run", "--alpha-supply", "nan"),
+        ("sweep-scale", "--alpha-supply", "0:1:1e-9"),
         ("sweep-density", "--densities", "0.1:0.5:-0.1"),
         ("sweep-density", "--densities", "0.5,0.3,0.1"),
         ("sweep-scale", "--samples", "0"),
@@ -236,6 +241,19 @@ class TestRun:
         (row,) = [r for r in summary if r["method"] == "lp_consumption"]
         assert (row["count"], row["failures"]) == ("1", "1")
 
+    def test_reps_are_replicates(self, files, capsys):
+        assert run_command(["run", "--economy", files["economy"],
+                            "--shocks", files["shocks"], "--out", files["out"],
+                            "--reps", "3", "--samples", "2"]) == 0
+        allocation, sweep, _ = (read_table(p)[1]
+                                for p in capsys.readouterr().out.splitlines())
+        for rep in "012":
+            rows = [r for r in sweep if r["replicate"] == rep]
+            assert len(rows) == 7 + 2
+        assert len(sweep) == 3 * (7 + 2)
+        # allocations.csv holds replicate 0 only: 8 methods x 3 industries
+        assert len(allocation) == 24
+
     def test_unknown_method_exits_two(self, files, capsys):
         assert run_command(["run", "--economy", files["economy"],
                             "--shocks", files["shocks"], "--out", files["out"],
@@ -282,8 +300,11 @@ class TestSweepDensity:
         assert len(rows) == 1
         assert float(rows[0]["total_output"]) == pytest.approx(16.0)
 
-    def test_density_above_current_exits_two(self, files, capsys):
+    def test_density_above_current_exits_one(self, files, capsys):
         assert run_command(["sweep-density", "--economy", files["economy"],
                             "--shocks", files["shocks"],
-                            "--densities", "0.9",
-                            "--out", files["out"]]) == 2
+                            "--densities", "0.5:0.1:-0.2",
+                            "--out", files["out"]]) == 1
+        assert capsys.readouterr().err == (
+            "error: --densities '0.5:0.1:-0.2': target 0.5 above the "
+            f"economy's density {2 / 9}\n")

@@ -1,6 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ioshock import (
     Constraints,
@@ -19,7 +24,15 @@ from ioshock import (
     sweep_scale,
     total_demand,
 )
-from ioshock.rationing import random_rankings
+from ioshock.rationing import (
+    _bottleneck,
+    _mixed_ratios,
+    _padded_rankings,
+    _priority_bottleneck,
+    _proportional_ratios,
+    largest_first_rankings,
+    random_rankings,
+)
 
 from conftest import random_economy, random_scenario
 
@@ -191,6 +204,92 @@ class TestEnsemble:
     def test_rejects_zero_samples(self, chain3, chain3_scenario):
         with pytest.raises(ValueError):
             random_ensemble(chain3, chain3_scenario, 0, 0)
+
+
+def loop_bottleneck(r, A):
+    """Reference: one supplier set per customer, as the kernels were first
+    written; s_i = min over suppliers j of min(r_j, 1), 1 if none."""
+    capped = np.minimum(r, 1.0)
+    has_supplier = A > 0
+    s = np.ones(A.shape[0])
+    for i in range(A.shape[0]):
+        suppliers = np.flatnonzero(has_supplier[:, i])
+        if suppliers.size:
+            s[i] = capped[suppliers].min()
+    return s
+
+
+def loop_priority_bottleneck(d, avail, A, rankings):
+    """Reference: each supplier grants capacity down its ranking in turn."""
+    n = A.shape[0]
+    s = np.ones(n)
+    for i in range(n):
+        order = rankings[i]
+        if order.size == 0:
+            continue
+        w = A[i, order] * d[order]
+        cum_before = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+        remaining = np.maximum(avail[i] - cum_before, 0.0)
+        with np.errstate(divide="ignore"):
+            r = np.where(w > 0, remaining / np.where(w > 0, w, 1.0), np.inf)
+        np.minimum.at(s, order, np.minimum(r, 1.0))
+    return s
+
+
+#: few distinct values, so that coefficients, demands and rankings tie
+TIED = st.sampled_from([0.0, 0.25, 1.0, 2.5])
+
+
+def each(shape, elements):
+    # fill=nothing draws every element, not a few over a repeated fill value
+    return hnp.arrays(float, shape, elements=elements, fill=st.nothing())
+
+
+@st.composite
+def kernel_case(draw):
+    """(A, d, avail, ranking seed or None for largest-first) on a sparse A."""
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    present = draw(each((n, n), st.floats(0, 1))) < density
+    A = np.where(present, draw(each((n, n), TIED | st.floats(0.01, 0.5))), 0.0)
+    d = draw(each(n, TIED | st.floats(1e-6, 100)))
+    # availability from none to twice each supplier's intermediate demand
+    share = draw(each(n, st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 2)))
+    seed = draw(st.none() | st.integers(0, 2**32 - 1))
+    return A, d, share * (A @ d), seed
+
+
+def case(A, d, avail, seed=None):
+    return tuple(np.array(v, dtype=float) for v in (A, d, avail)) + (seed,)
+
+
+class TestKernels:
+    """The array kernels against the loop forms they replaced, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_case())
+    # supplier 0 has no customers and customer 1 no suppliers
+    @example(case([[0.0, 0.0], [0.3, 0.0]], [2.0, 1.0], [0.0, 0.4]))
+    # zero-demand customers (w = 0)
+    @example(case([[0.0, 0.2, 0.4], [0.1, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                  [0.0, 0.0, 3.0], [1.0, 0.0, 0.0]))
+    # a tie in largest-first weights, broken by customer index
+    @example(case([[0.0, 0.5, 0.5], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]],
+                  [1.0, 2.0, 2.0], [1.5, 0.1, 0.1]))
+    # all-zero A: no supplier has a customer
+    @example(case(np.zeros((4, 4)), [1.0, 0.0, 2.0, 3.0], [0.0, 1.0, 0.0, 5.0]))
+    # availability above total demand
+    @example(case([[0.1, 0.2], [0.3, 0.0]], [4.0, 5.0], [10.0, 10.0], seed=7))
+    def test_match_loop_forms(self, drawn):
+        A, d, avail, seed = drawn
+        op = SimpleNamespace(n=A.shape[0], A=A)
+        rankings = (largest_first_rankings(op, d) if seed is None
+                    else random_rankings(op, seed))
+        assert np.array_equal(
+            _priority_bottleneck(d, avail, *_padded_rankings(A, rankings)),
+            loop_priority_bottleneck(d, avail, A, rankings))
+        for r in (_proportional_ratios(d, avail), _mixed_ratios(d, avail, A)):
+            assert np.array_equal(_bottleneck(r, A > 0), loop_bottleneck(r, A))
 
 
 class TestSharedProperties:
