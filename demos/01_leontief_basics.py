@@ -36,7 +36,7 @@ def main():
     m = metrics(e, op)
     print(f"\naverage output multiplier : {m.avg_multiplier:.4f}")
     print(f"intermediate share        : {m.intermediate_share:.4f}")
-    print(f"network density           : {m.density:.4f}")
+    print(f"network density           : {e.density:.4f}")
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ def synthetic_economy(n=8, seed=3):
 def main():
     e = synthetic_economy()
     m = metrics(e, coefficients(e))
-    print(f"synthetic economy: n={e.n}, density={m.density:.3f}, "
+    print(f"synthetic economy: n={e.n}, density={e.density:.3f}, "
           f"avg multiplier={m.avg_multiplier:.3f}")
 
     rng = np.random.default_rng(7)
@@ -43,7 +43,7 @@ def main():
     print(f"shock removes {1 - c.x_max.sum() / e.x.sum():.1%} "
           "of aggregate capacity\n")
 
-    targets = tuple(round(m.density - 0.1 * k, 3) for k in range(4))
+    targets = tuple(round(e.density - 0.1 * k, 3) for k in range(4))
     spec = SweepSpec(methods=("lp_output", "proportional", "largest_first"),
                      grid=targets, repetitions=20, master_seed=11)
     summaries = summarize(sweep_density(e, scenario, spec))

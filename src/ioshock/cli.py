@@ -83,9 +83,10 @@ def _check_numeric_flags(args):
         raise ParseError(f"--tol must be finite and > 0, got {tol}")
 
 
-def _add_common(p, shocks_required=True):
+def _add_inputs(p):
+    """The input files and shock scaling every shock command reads."""
     p.add_argument("--economy", required=True, help="economy CSV file")
-    p.add_argument("--shocks", required=shocks_required, help="shock CSV file")
+    p.add_argument("--shocks", required=True, help="shock CSV file")
     p.add_argument("--percent", action="store_true",
                    help="shock file values are percentages")
     p.add_argument("--allow-missing", action="store_true",
@@ -94,6 +95,11 @@ def _add_common(p, shocks_required=True):
                    help="supply scaling factor, or start:stop:step grid")
     p.add_argument("--alpha-demand", default="1",
                    help="demand scaling factor, or start:stop:step grid")
+
+
+def _add_common(p):
+    """Inputs plus the method, sampling and output options of an evaluation."""
+    _add_inputs(p)
     p.add_argument("--methods", default="all",
                    help="comma-separated method list or 'all'")
     p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -122,7 +128,7 @@ def build_parser():
     p.add_argument("--allow-missing", action="store_true")
 
     p = sub.add_parser("shock", help="emit output/consumption ceilings")
-    _add_common(p)
+    _add_inputs(p)
 
     p = sub.add_parser("run", help="evaluate methods on one scenario")
     _add_common(p)
@@ -182,7 +188,7 @@ def _cmd_validate(args):
         "industries": economy.n,
         "total_output": m.total_output,
         "total_consumption": m.total_consumption,
-        "density": m.density,
+        "density": economy.density,
         "avg_multiplier": m.avg_multiplier,
         "intermediate_share": m.intermediate_share,
         "negative_value_added": economy.negative_value_added,

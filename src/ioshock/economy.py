@@ -12,7 +12,6 @@ side. All indices are 0-based.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -63,12 +62,6 @@ class Economy:
         """Share of the n**2 flows that are positive."""
         return float(np.count_nonzero(self.Z > 0) / self.n**2)
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.Z).tobytes())
-        h.update(np.ascontiguousarray(self.f).tobytes())
-        return h.hexdigest()
-
 
 @dataclass(frozen=True)
 class LeontiefOperator:
@@ -76,8 +69,6 @@ class LeontiefOperator:
 
     A: np.ndarray
     L: np.ndarray
-    #: fingerprint of the Economy this operator was built from
-    source: str
 
     @property
     def n(self) -> int:
@@ -92,7 +83,6 @@ class EconomyMetrics:
     intermediate_share: float
     total_output: float
     total_consumption: float
-    density: float
 
 
 def build_economy(Z, f, labels=None) -> Economy:
@@ -165,7 +155,7 @@ def coefficients(e: Economy) -> LeontiefOperator:
         raise NonProductive(
             f"Leontief inverse has entry {np.min(L):.3e} < {_HS_TOLERANCE}"
         )
-    return LeontiefOperator(A=_frozen(A), L=_frozen(L), source=e.fingerprint())
+    return LeontiefOperator(A=_frozen(A), L=_frozen(L))
 
 
 def total_demand(op: LeontiefOperator, f) -> np.ndarray:
@@ -204,12 +194,11 @@ def smallest_links(e: Economy, k: int):
 
 
 def metrics(e: Economy, op: LeontiefOperator) -> EconomyMetrics:
-    """Aggregate multiplier, intermediate share, totals and link density."""
+    """Aggregate multiplier, intermediate share and totals."""
     n = e.n
     return EconomyMetrics(
         avg_multiplier=float(op.L.sum() / n),
         intermediate_share=float(e.Z.sum() / e.x.sum()) if e.x.sum() > 0 else 0.0,
         total_output=float(e.x.sum()),
         total_consumption=float(e.f.sum()),
-        density=e.density,
     )

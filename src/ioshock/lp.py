@@ -6,13 +6,25 @@ maximize total final consumption, subject to two-sided row bounds that
 keep the complementary quantity inside its ceiling. Both are solved by a
 self-contained simplex method for bounded variables; two-sided rows are
 handled natively through ranged slacks rather than by doubling rows.
+
+Each basis is LU-factored once, when it is entered: the factors of B
+give the basic values and every entering column, a separate factorization
+of B^T gives the dual, and the reduced costs are priced once per basis.
+A bound flip (the entering variable crosses its own box before any basic
+variable leaves) changes none of these, so it costs one solve with the
+stored factors.
+Pricing and the ratio test are numpy array operations; only the ratio
+test's tolerance-based tie-break runs in a loop, over the basic variables
+the entering column moves.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .economy import Economy, LeontiefOperator
 from .errors import DimensionMismatch, InfeasibleStart, IterationLimit, SolverFailure
@@ -103,73 +115,75 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
     scale = max(1.0, np.max(np.abs(b)), np.max(np.abs(hi[np.isfinite(hi)])))
     ftol = _FEAS_TOL * scale
+    movable = hi - lo > ftol  # a fixed variable can never move
 
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
+    nonbasic = np.arange(n)
     # nonbasic variables and whether each sits at its upper bound
     at_upper = np.zeros(n + m, dtype=bool)
     z = np.array(lo)
 
-    def basic_values():
-        nonbasic_part = A @ z - A[:, basis] @ z[basis]
-        return _basis_solve(A[:, basis], b - nonbasic_part)
+    def refactor():
+        """Factor the current basis and recompute the basic values."""
+        B = A[:, basis]
+        # B^T gets its own factors: lu_solve(..., trans=1) on B's would save
+        # one factorization but rounds differently and changes pivot paths
+        lu, lu_t = _factor(B), _factor(B.T)
+        nonbasic_part = A @ z - B @ z[basis]
+        z[basis] = lu_solve(lu, b - nonbasic_part, check_finite=False)
+        return lu, lu_t
 
-    z[basis] = basic_values()
+    lu, lu_t = refactor()
     if np.any(z[basis] < lo[basis] - ftol) or np.any(z[basis] > hi[basis] + ftol):
         raise InfeasibleStart(
             "all-lower-bound point violates a row bound; "
             "only programs feasible at their lower bounds are supported"
         )
 
-    nonbasic = [j for j in range(n + m) if j not in basis]
     stall = 0
+    reduced = None  # priced once per basis: a bound flip changes no dual
     for it in range(1, max_iter + 1):
-        B = A[:, basis]
-        dual = _basis_solve(B.T, cost[basis])
-        reduced = cost[nonbasic] - A[:, nonbasic].T @ dual
+        if reduced is None:
+            dual = lu_solve(lu_t, cost[basis], check_finite=False)
+            reduced = cost[nonbasic] - A[:, nonbasic].T @ dual
 
-        eligible = []
-        for k, j in enumerate(nonbasic):
-            if hi[j] - lo[j] <= ftol:
-                continue  # fixed variable can never move
-            if not at_upper[j] and reduced[k] > _PIVOT_TOL:
-                eligible.append((k, j, reduced[k]))
-            elif at_upper[j] and reduced[k] < -_PIVOT_TOL:
-                eligible.append((k, j, reduced[k]))
-        if not eligible:
+        eligible = movable[nonbasic] & np.where(
+            at_upper[nonbasic], reduced < -_PIVOT_TOL, reduced > _PIVOT_TOL)
+        if not eligible.any():
             _assert_solution(lp, z[:n], ftol)
             return LpSolution("optimal", np.array(z[:n]), float(lp.c @ z[:n]), it - 1)
 
         if stall > stall_limit:
-            k, j, dj = min(eligible, key=lambda t: t[1])  # Bland: smallest index
+            # Bland: smallest variable index
+            k = np.flatnonzero(eligible)[np.argmin(nonbasic[eligible])]
         else:
-            k, j, dj = max(eligible, key=lambda t: abs(t[2]))  # Dantzig
+            # Dantzig: largest |reduced cost|, first position on a tie
+            k = np.argmax(np.where(eligible, np.abs(reduced), -1.0))
+        j = nonbasic[k]
 
         sigma = -1.0 if at_upper[j] else 1.0  # direction the entering var moves
-        w = _basis_solve(B, A[:, j])
+        w = lu_solve(lu, A[:, j], check_finite=False)
 
         # Ratio test: entering bound flip vs. first basic variable hitting a bound.
-        t_best = hi[j] - lo[j]
+        step = sigma * w
+        cand = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
+        var = basis[cand]
+        hits_upper = step[cand] < 0  # basic var increases towards its upper bound
+        room = np.where(hits_upper, hi[var] - z[var], z[var] - lo[var])
+        ratios = np.maximum(room / np.abs(step[cand]), 0.0)
+        t_best = float(hi[j] - lo[j])
         leave_pos = None  # position in basis, or None for a bound flip
+        leave_var = -1
         leave_to_upper = False
-        for p in range(m):
-            step = sigma * w[p]
-            if step > _PIVOT_TOL:  # basic p decreases
-                t_p = (z[basis[p]] - lo[basis[p]]) / step
-                hits_upper = False
-            elif step < -_PIVOT_TOL:  # basic p increases
-                t_p = (hi[basis[p]] - z[basis[p]]) / (-step)
-                hits_upper = True
-            else:
-                continue
-            t_p = max(t_p, 0.0)
+        for p, v, t_p, up in zip(cand.tolist(), var.tolist(), ratios.tolist(),
+                                 hits_upper.tolist()):
             if t_p < t_best - _PIVOT_TOL or (
-                t_p < t_best + _PIVOT_TOL
-                and leave_pos is not None
-                and basis[p] < basis[leave_pos]
+                t_p < t_best + _PIVOT_TOL and leave_pos is not None and v < leave_var
             ):
                 t_best = t_p
                 leave_pos = p
-                leave_to_upper = hits_upper
+                leave_var = v
+                leave_to_upper = up
 
         stall = stall + 1 if t_best <= _PIVOT_TOL else 0
 
@@ -178,21 +192,24 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         if leave_pos is None:
             at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
         else:
-            out = basis[leave_pos]
-            z[out] = hi[out] if leave_to_upper else lo[out]
-            at_upper[out] = leave_to_upper
+            z[leave_var] = hi[leave_var] if leave_to_upper else lo[leave_var]
+            at_upper[leave_var] = leave_to_upper
             basis[leave_pos] = j
-            nonbasic[nonbasic.index(j)] = out
+            nonbasic[k] = leave_var
             at_upper[j] = False
-            z[basis] = basic_values()  # refresh against accumulated drift
+            lu, lu_t = refactor()  # also refreshes against accumulated drift
+            reduced = None
 
     return LpSolution("iteration-limit", np.array(z[:n]), float(lp.c @ z[:n]), max_iter)
 
 
-def _basis_solve(B, rhs):
+def _factor(M):
+    """LU factors of a basis matrix (or its transpose) for ``lu_solve``."""
     try:
-        return np.linalg.solve(B, rhs)
-    except np.linalg.LinAlgError as exc:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            return lu_factor(M, check_finite=False)
+    except LinAlgWarning as exc:
         # a pivot on a rounding-noise entry can leave the basis singular
         raise SolverFailure(f"simplex basis became singular: {exc}") from exc
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: the two hand-checked toy economies and a generator
+"""Shared fixtures: the two hand-checked toy economies and generators
 for random productive economies."""
 
 import numpy as np
@@ -74,17 +74,28 @@ def chain3_constraints(chain3, chain3_scenario):
     return make_constraints(chain3, chain3_scenario)
 
 
-def random_economy(rng, n=None):
-    """A random productive economy: column sums of A bounded below 0.9."""
-    if n is None:
-        n = int(rng.integers(2, 9))
-    A = rng.random((n, n)) * (rng.random((n, n)) < 0.8)
+def productive_economy(rng, n, density):
+    """A productive economy of n industries whose flows are present with
+    probability ``density``: column sums of A bounded below 0.9."""
+    A = rng.random((n, n)) * (rng.random((n, n)) < density)
     col = A.sum(axis=0)
     target = 0.1 + 0.8 * rng.random(n)
     A = A / np.where(col > 0, col, 1.0)[np.newaxis, :] * target[np.newaxis, :]
     f = 0.1 + 10.0 * rng.random(n)
     x = np.linalg.solve(np.eye(n) - A, f)
     return build_economy(A * x[np.newaxis, :], f)
+
+
+def random_economy(rng, n=None):
+    """A random productive economy of 2 to 8 industries unless n is given."""
+    if n is None:
+        n = int(rng.integers(2, 9))
+    return productive_economy(rng, n, 0.8)
+
+
+def sized_economy(seed, n, density):
+    """The seeded economies of the benchmark's inputs."""
+    return productive_economy(np.random.default_rng(seed), n, density)
 
 
 def random_scenario(rng, n, max_supply=1.0, max_demand=1.0):

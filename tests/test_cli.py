@@ -168,6 +168,29 @@ class TestShock:
                             "--shocks", files["shocks"],
                             "--alpha-supply", "0:1:0.5"]) == 1
 
+    def test_exact_output(self, files, capsys):
+        assert run_command(["shock", "--economy", files["economy"],
+                            "--shocks", files["shocks"], "--percent",
+                            "--allow-missing", "--alpha-demand", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "industry,x_max,f_max\n"
+            "upstream,9.95,4.0\n"
+            "parts,6.0,6.0\n"
+            "goods,8.0,8.0\n")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--methods", "all"), ("--seed", "1"), ("--samples", "5"),
+        ("--reps", "2"), ("--tol", "1e-9"), ("--max-iter", "10"),
+        ("--out", "out"),
+    ])
+    def test_evaluation_flags_rejected(self, files, capsys, flag, value):
+        # shock evaluates no method, so these options are usage errors
+        with pytest.raises(SystemExit) as exc:
+            run_command(["shock", "--economy", files["economy"],
+                         "--shocks", files["shocks"], flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestRun:
     def test_end_to_end(self, files, capsys):

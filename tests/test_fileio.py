@@ -4,10 +4,14 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ioshock import (
     ShockScenario,
     SweepSpec,
+    build_economy,
     direct_allocation,
     file_digest,
     make_constraints,
@@ -131,6 +135,71 @@ class TestEconomyRoundTrip:
         first = p.read_text().splitlines()[0]
         assert first.startswith("# ")
         assert json.loads(first[2:]) == {"seed": 7}
+
+
+# Labels the format can carry: no newline, no surrounding blanks (cells are
+# stripped), no leading '#' (a comment line). Commas and quotes are quoted.
+LABEL = st.text(st.sampled_from("abcXYZ019 _-&,.()\"'"), min_size=1,
+                max_size=8).filter(lambda t: t == t.strip()
+                                   and not t.startswith("#"))
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def economies(draw):
+    labels = draw(st.lists(LABEL, min_size=1, max_size=6, unique=True))
+    n = len(labels)
+    cells = st.floats(0.0, 1e6, allow_subnormal=True)
+    Z = draw(hnp.arrays(float, (n, n), elements=cells))
+    f = draw(hnp.arrays(float, n, elements=cells))
+    return build_economy(Z, f, labels=labels)
+
+
+def write_table(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+
+
+@st.composite
+def shock_tables(draw):
+    labels = draw(st.lists(LABEL, min_size=1, max_size=6, unique=True))
+    rows = draw(st.permutations(labels))
+    values = {label: draw(st.tuples(UNIT, UNIT, UNIT)) for label in labels}
+    return labels, rows, values
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(economies())
+    def test_economy(self, tmp_path_factory, e):
+        p = tmp_path_factory.mktemp("economy") / "e.csv"
+        write_economy_csv(p, e)
+        back = parse_economy_csv(p)
+        assert back.labels == e.labels
+        npt.assert_array_equal(back.Z, e.Z)
+        npt.assert_array_equal(back.f, e.f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shock_tables())
+    def test_shocks(self, tmp_path_factory, table):
+        labels, rows, values = table
+        directory = tmp_path_factory.mktemp("shocks")
+        direct, raw = directory / "direct.csv", directory / "raw.csv"
+        write_table(direct, ["industry", "supply_shock", "demand_shock"],
+                    [[label, repr(values[label][0]), repr(values[label][2])]
+                     for label in rows])
+        write_table(raw, ["industry", "rli", "essential_share", "demand_shock"],
+                    [[label, *map(repr, values[label])] for label in rows])
+
+        demand = [values[label][2] for label in labels]
+        s = parse_shocks_csv(direct, labels)
+        npt.assert_array_equal(s.eps_supply, [values[label][0] for label in labels])
+        npt.assert_array_equal(s.eps_demand, demand)
+        s = parse_shocks_csv(raw, labels)
+        npt.assert_array_equal(
+            s.eps_supply,
+            [(1.0 - rli) * (1.0 - ess) for rli, ess, _ in map(values.get, labels)])
+        npt.assert_array_equal(s.eps_demand, demand)
 
 
 class TestParseShocks:

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import LinAlgWarning
 
 from ioshock import (
     Constraints,
@@ -12,11 +13,12 @@ from ioshock import (
     coefficients,
     make_constraints,
     optimal_allocation,
+    remove_links,
     solve,
 )
 from ioshock.errors import DimensionMismatch, SolverFailure
 
-from conftest import random_economy, random_scenario
+from conftest import random_economy, random_scenario, sized_economy
 
 
 def enumerate_vertices(lp, tol=1e-9):
@@ -166,8 +168,61 @@ class TestSolve:
         lp = LinearProgram(c=np.array([1.0, 1.0, 1.0, 0.97, 0.98, 1.0]),
                            lb=np.zeros(6), ub=np.array([1.0, 1, 1, 1, 1, 2]),
                            G=G, row_lb=np.zeros(7), row_ub=np.ones(7))
-        with pytest.raises(SolverFailure, match="singular"):
+        with pytest.raises(SolverFailure, match="^simplex basis became singular") as exc:
             solve(lp)
+        assert isinstance(exc.value.__cause__, LinAlgWarning)
+
+
+def thinned(e, target, seed):
+    """Remove uniformly drawn links down to a target density, as the
+    random removal mode of sweep_density does at grid point 0."""
+    positive = [(int(i), int(j)) for i, j in zip(*np.nonzero(e.Z > 0))]
+    k = int(round((e.density - target) * e.n**2))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0, 1]))
+    return remove_links(e, [positive[t] for t in rng.choice(len(positive), k,
+                                                            replace=False)])
+
+
+# (seed, n, link density, thinned to, alpha_supply, program, pivots,
+# objective) of seeded economies. A change to pricing, to the ratio test's
+# tie-breaks or to how the basis is solved shows up as another pivot count;
+# the objective may move only in its last bits.
+PINNED = [
+    (0, 56, 0.8, None, 0.0, "output", 56, 383.9680408274691),
+    (0, 56, 0.8, None, 0.0, "consumption", 111, 219.8902044806617),
+    (0, 56, 0.8, None, 0.25, "output", 59, 378.719454617614),
+    (0, 56, 0.8, None, 0.25, "consumption", 118, 216.47194552459925),
+    (0, 56, 0.8, None, 0.5, "output", 68, 333.44236824922916),
+    (0, 56, 0.8, None, 0.5, "consumption", 116, 194.2138416532887),
+    (0, 56, 0.8, None, 0.75, "output", 71, 270.3550332765842),
+    (0, 56, 0.8, None, 0.75, "consumption", 110, 161.852318731715),
+    (0, 56, 0.8, None, 1.0, "output", 57, 185.88676544406127),
+    (0, 56, 0.8, None, 1.0, "consumption", 109, 111.76940138990646),
+    (0, 56, 0.8, 0.1, 1.0, "output", 62, 200.9961557844398),
+    (1, 120, 0.3, None, 0.5, "output", 143, 920.2328565199289),
+    # 181 of these 295 pivots are bound flips that keep the basis
+    (1, 250, 0.3, None, 0.5, "output", 295, 1844.563978499186),
+]
+
+
+class TestPinnedPivots:
+    @pytest.mark.parametrize(
+        "seed,n,density,thin,alpha,program,pivots,objective", PINNED,
+        ids=[f"n{n}-d{thin or density}-a{a}-{p}" for _, n, density, thin, a, p, *_ in PINNED])
+    def test_pivots_and_objective(self, seed, n, density, thin, alpha, program,
+                                  pivots, objective):
+        e = sized_economy(seed, n, density)
+        if thin is not None:
+            e = thinned(e, thin, seed)
+        # the shocks of the benchmark's inputs
+        shocks = random_scenario(np.random.default_rng([seed, 1]), n, 0.8, 0.5)
+        c = make_constraints(e, shocks.with_alphas(alpha, 1.0))
+        build = {"output": build_max_output_lp,
+                 "consumption": build_max_consumption_lp}[program]
+        sol = solve(build(coefficients(e), c))
+        assert sol.status == "optimal"
+        assert sol.iterations == pivots
+        assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0)
 
 
 class TestOptimalAllocation:

@@ -144,7 +144,7 @@ class TestSolve:
     def test_singular_block_raised(self, pair2):
         # a hand-built operator whose demand block hits spectral radius one
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
-        op = LeontiefOperator(A=A, L=np.eye(2), source="synthetic")
+        op = LeontiefOperator(A=A, L=np.eye(2))
         c = Constraints(np.array([10.0, 8.0]), np.array([8.0, 5.0]))
         with pytest.raises(SingularBlock):
             solve_meem(pair2, op, c, classify(pair2, c))
