@@ -58,12 +58,10 @@ from .rationing import (
 from .shocks import (
     Allocation,
     Constraints,
-    ShockInputs,
     ShockScenario,
     aggregate_shocks,
     allocation_is_feasible,
     direct_allocation,
     make_constraints,
-    scenario_from_inputs,
     supply_shock,
 )

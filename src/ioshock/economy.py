@@ -12,11 +12,9 @@ side. All indices are 0-based.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .errors import (
     DimensionMismatch,
@@ -142,11 +140,7 @@ def coefficients(e: Economy) -> LeontiefOperator:
     A = e.Z / denom[np.newaxis, :]
     ImA = np.eye(e.n) - A
     try:
-        # singular factors surface as non-finite entries checked below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu = lu_factor(ImA)
-            L = lu_solve(lu, np.eye(e.n))
+        L = np.linalg.solve(ImA, np.eye(e.n))
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonProductive(f"(I - A) is singular: {exc}") from exc
     if not np.all(np.isfinite(L)):

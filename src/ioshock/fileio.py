@@ -208,7 +208,17 @@ def _write_csv(path, provenance, header, rows):
 
 
 def write_economy_csv(path, e: Economy, provenance=None):
-    """Serialize an Economy; re-parsing yields bit-identical Z and f."""
+    """Serialize an Economy; re-parsing yields bit-identical Z, f and labels.
+
+    Raises ParseError, before writing anything, for a label the format
+    cannot carry back: empty, with surrounding blanks (cells are stripped),
+    starting with ``#`` (a comment line) or holding a line break.
+    """
+    for label in e.labels:
+        if (not label or label != label.strip() or label.startswith("#")
+                or "\n" in label or "\r" in label):
+            raise ParseError(f"industry label {label!r} would not read back "
+                             f"from an economy file")
     header = ["industry", *e.labels, "final_demand", "gross_output"]
     rows = [[e.labels[i], *e.Z[i], e.f[i], e.x[i]] for i in range(e.n)]
     _write_csv(path, provenance or {}, header, rows)

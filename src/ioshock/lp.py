@@ -7,12 +7,12 @@ keep the complementary quantity inside its ceiling. Both are solved by a
 self-contained simplex method for bounded variables; two-sided rows are
 handled natively through ranged slacks rather than by doubling rows.
 
-Each basis is LU-factored once, when it is entered: the factors of B
-give the basic values and every entering column, a separate factorization
-of B^T gives the dual, and the reduced costs are priced once per basis.
-A bound flip (the entering variable crosses its own box before any basic
-variable leaves) changes none of these, so it costs one solve with the
-stored factors.
+Every linear solve is one ``numpy.linalg.solve`` with a single right-hand
+side: B for the basic values when a basis is entered and for each entering
+column, B^T for the dual once per basis. The reduced costs are priced once
+per basis; a bound flip (the entering variable crosses its own box before
+any basic variable leaves) changes none of them, so it costs only the
+entering column's solve.
 Pricing and the ratio test are numpy array operations; only the ratio
 test's tolerance-based tie-break runs in a loop, over the basic variables
 the entering column moves.
@@ -20,11 +20,9 @@ the entering column moves.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .economy import Economy, LeontiefOperator
 from .errors import DimensionMismatch, InfeasibleStart, IterationLimit, SolverFailure
@@ -124,16 +122,16 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     z = np.array(lo)
 
     def refactor():
-        """Factor the current basis and recompute the basic values."""
+        """Take the current basis matrix and recompute the basic values."""
         B = A[:, basis]
-        # B^T gets its own factors: lu_solve(..., trans=1) on B's would save
-        # one factorization but rounds differently and changes pivot paths
-        lu, lu_t = _factor(B), _factor(B.T)
+        # numpy keeps no LU factors, so every solve factors afresh; an
+        # explicit inverse (per basis or product-form updated) changes pivot
+        # paths, and a two-column solve rounds unlike two one-column solves
         nonbasic_part = A @ z - B @ z[basis]
-        z[basis] = lu_solve(lu, b - nonbasic_part, check_finite=False)
-        return lu, lu_t
+        z[basis] = _solve(B, b - nonbasic_part)
+        return B
 
-    lu, lu_t = refactor()
+    B = refactor()
     if np.any(z[basis] < lo[basis] - ftol) or np.any(z[basis] > hi[basis] + ftol):
         raise InfeasibleStart(
             "all-lower-bound point violates a row bound; "
@@ -144,7 +142,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     reduced = None  # priced once per basis: a bound flip changes no dual
     for it in range(1, max_iter + 1):
         if reduced is None:
-            dual = lu_solve(lu_t, cost[basis], check_finite=False)
+            dual = _solve(B.T, cost[basis])
             reduced = cost[nonbasic] - A[:, nonbasic].T @ dual
 
         eligible = movable[nonbasic] & np.where(
@@ -162,7 +160,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         j = nonbasic[k]
 
         sigma = -1.0 if at_upper[j] else 1.0  # direction the entering var moves
-        w = lu_solve(lu, A[:, j], check_finite=False)
+        w = _solve(B, A[:, j])
 
         # Ratio test: entering bound flip vs. first basic variable hitting a bound.
         step = sigma * w
@@ -197,19 +195,17 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             basis[leave_pos] = j
             nonbasic[k] = leave_var
             at_upper[j] = False
-            lu, lu_t = refactor()  # also refreshes against accumulated drift
+            B = refactor()  # also refreshes against accumulated drift
             reduced = None
 
     return LpSolution("iteration-limit", np.array(z[:n]), float(lp.c @ z[:n]), max_iter)
 
 
-def _factor(M):
-    """LU factors of a basis matrix (or its transpose) for ``lu_solve``."""
+def _solve(M, rhs):
+    """Solve with a basis matrix (or its transpose) for one right-hand side."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            return lu_factor(M, check_finite=False)
-    except LinAlgWarning as exc:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError as exc:
         # a pivot on a rounding-noise entry can leave the basis singular
         raise SolverFailure(f"simplex basis became singular: {exc}") from exc
 

@@ -8,7 +8,6 @@ output and consumption ceilings which every propagation method consumes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,20 +21,6 @@ def _unit_interval(name, value):
     if np.any(a < 0) or np.any(a > 1):
         raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
     return a
-
-
-@dataclass(frozen=True)
-class ShockInputs:
-    """Raw per-industry indicators from which supply shocks are computed."""
-
-    rli: np.ndarray
-    essential: np.ndarray
-    demand_shock: np.ndarray
-
-    def __post_init__(self):
-        for name in ("rli", "essential", "demand_shock"):
-            a = _unit_interval(name, getattr(self, name))
-            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -84,24 +69,6 @@ def supply_shock(rli, essential):
     rli = _unit_interval("rli", rli)
     essential = _unit_interval("essential", essential)
     return (1.0 - rli) * (1.0 - essential)
-
-
-def scenario_from_inputs(inputs: ShockInputs, eps_supply=None,
-                         alpha_supply=1.0, alpha_demand=1.0) -> ShockScenario:
-    """Build a scenario from raw indicators.
-
-    If precomputed supply shocks are passed alongside raw inputs, the
-    precomputed values win and a warning is recorded.
-    """
-    computed = supply_shock(inputs.rli, inputs.essential)
-    if eps_supply is not None:
-        warnings.warn(
-            "both raw (rli, essential) and precomputed supply shocks given; "
-            "using the precomputed values",
-            stacklevel=2,
-        )
-        computed = _unit_interval("eps_supply", eps_supply)
-    return ShockScenario(computed, inputs.demand_shock, alpha_supply, alpha_demand)
 
 
 def make_constraints(e: Economy, s: ShockScenario) -> Constraints:

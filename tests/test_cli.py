@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ioshock
 from ioshock import experiments, file_digest
 from ioshock.cli import MAX_GRID_POINTS, _grid_values, build_parser, run_command
 from ioshock.errors import ParseError, SolverFailure
@@ -146,6 +151,26 @@ class TestValidate:
                             "--shocks", paths["shocks"]]) == 1
         err = capsys.readouterr().err
         assert f"bad_{which}.csv:2 column 2: {cell!r} is not finite" in err
+
+
+class TestStartup:
+    def test_cli_imports_no_scipy(self):
+        """A CLI process loads numpy only: scipy is the benchmark's oracle,
+        not a runtime dependency, and importing it would double start-up."""
+        chain3 = Path(__file__).resolve().parents[1] / "demos" / "data" / "chain3.csv"
+        child = ("import sys\n"
+                 "import ioshock.cli\n"
+                 "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                 "code = ioshock.cli.run_command(['validate', '--economy', sys.argv[1]])\n"
+                 "print(loaded)\n"
+                 "sys.exit(code)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ioshock.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", child, str(chain3)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestShock:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -126,6 +127,14 @@ class TestEconomyRoundTrip:
             npt.assert_array_equal(e2.f, e.f)
             write_economy_csv(p2, e2)
             assert file_digest(p1) == file_digest(p2)
+
+    @pytest.mark.parametrize("label", ["#a", " a", "a ", "", "a\nb", "a\rb"])
+    def test_unwritable_label(self, tmp_path, label):
+        e = build_economy(np.zeros((2, 2)), [1.0, 2.0], labels=[label, "b"])
+        p = tmp_path / "e.csv"
+        with pytest.raises(ParseError, match=re.escape(repr(label))):
+            write_economy_csv(p, e)
+        assert not p.exists()
 
     def test_provenance_line(self, tmp_path):
         p = tmp_path / "e.csv"

@@ -4,14 +4,12 @@ import pytest
 
 from ioshock import (
     Constraints,
-    ShockInputs,
     ShockScenario,
     aggregate_shocks,
     build_economy,
     coefficients,
     direct_allocation,
     make_constraints,
-    scenario_from_inputs,
     supply_shock,
 )
 from ioshock.errors import DimensionMismatch, OutOfRange, ZeroAggregate
@@ -47,18 +45,6 @@ class TestScenario:
             ShockScenario(np.array([1.5]), np.array([0.0]))
         with pytest.raises(OutOfRange):
             ShockScenario(np.array([0.5]), np.array([0.0]), alpha_supply=2.0)
-
-    def test_precomputed_wins_with_warning(self):
-        inputs = ShockInputs(np.array([0.5]), np.array([0.0]), np.array([0.1]))
-        with pytest.warns(UserWarning):
-            s = scenario_from_inputs(inputs, eps_supply=np.array([0.9]))
-        npt.assert_allclose(s.eps_supply, [0.9])
-
-    def test_raw_inputs(self):
-        inputs = ShockInputs(np.array([0.15]), np.array([0.0]), np.array([0.1]))
-        s = scenario_from_inputs(inputs)
-        npt.assert_allclose(s.eps_supply, [0.85])
-        npt.assert_allclose(s.eps_demand, [0.1])
 
 
 class TestMakeConstraints:
