@@ -7,9 +7,16 @@ keep the complementary quantity inside its ceiling. Both are solved by a
 self-contained simplex method for bounded variables; two-sided rows are
 handled natively through ranged slacks rather than by doubling rows.
 
-Every linear solve is one ``numpy.linalg.solve`` with a single right-hand
-side: B for the basic values when a basis is entered and for each entering
-column, B^T for the dual once per basis. The reduced costs are priced once
+The equality form is ``[G I]``, so every basis is ``[G[:, S] | I[:, T]]``
+with S the basic structural columns and T the rows whose slack is basic.
+Its linear systems reduce to the structural block ``G[R, S]``, R being the
+rows whose slack is nonbasic (|R| = |S|): ``B w = a`` is
+``G[R, S] w_S = a_R`` with ``w_T = a_T - G[T, S] w_S``, and ``B^T y = c_B``
+is ``G[R, S]^T y_R = c_S`` with ``y_T = 0``, slacks costing nothing (Chvatal,
+*Linear Programming*, 1983, ch. 8). The block is gathered once per basis
+and every solve is one ``numpy.linalg.solve`` on it with a single
+right-hand side: the basic values when a basis is entered, the dual once
+per basis, and each entering column. The reduced costs are priced once
 per basis; a bound flip (the entering variable crosses its own box before
 any basic variable leaves) changes none of them, so it costs only the
 entering column's solve.
@@ -53,7 +60,9 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "iteration-limit"
+    # "optimal" | "iteration-limit"; a start that breaks a row bound raises
+    # InfeasibleStart instead
+    status: str
     y: np.ndarray
     objective: float
     iterations: int
@@ -122,16 +131,20 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     z = np.array(lo)
 
     def refactor():
-        """Take the current basis matrix and recompute the basic values."""
-        B = A[:, basis]
-        # numpy keeps no LU factors, so every solve factors afresh; an
-        # explicit inverse (per basis or product-form updated) changes pivot
-        # paths, and a two-column solve rounds unlike two one-column solves
-        nonbasic_part = A @ z - B @ z[basis]
-        z[basis] = _solve(B, b - nonbasic_part)
-        return B
+        """Gather the current basis's block, recompute the basic values and
+        price the nonbasic variables; a bound flip changes neither block nor
+        prices, so this runs once per basis."""
+        # Only the k x k block G[R, S] is ever solved with, and numpy keeps
+        # no LU factors, so each of its solves factors it afresh; an explicit
+        # inverse (per basis or product-form updated) changes pivot paths,
+        # and a two-column solve rounds unlike two one-column solves
+        B = _BlockBasis(lp.G, basis)
+        N = A[:, nonbasic]
+        z[basis] = B.solve(b - N @ z[nonbasic])
+        reduced = cost[nonbasic] - N.T @ B.dual(cost[B.cols])
+        return B, reduced
 
-    B = refactor()
+    B, reduced = refactor()
     if np.any(z[basis] < lo[basis] - ftol) or np.any(z[basis] > hi[basis] + ftol):
         raise InfeasibleStart(
             "all-lower-bound point violates a row bound; "
@@ -139,12 +152,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         )
 
     stall = 0
-    reduced = None  # priced once per basis: a bound flip changes no dual
     for it in range(1, max_iter + 1):
-        if reduced is None:
-            dual = _solve(B.T, cost[basis])
-            reduced = cost[nonbasic] - A[:, nonbasic].T @ dual
-
         eligible = movable[nonbasic] & np.where(
             at_upper[nonbasic], reduced < -_PIVOT_TOL, reduced > _PIVOT_TOL)
         if not eligible.any():
@@ -160,7 +168,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         j = nonbasic[k]
 
         sigma = -1.0 if at_upper[j] else 1.0  # direction the entering var moves
-        w = _solve(B, A[:, j])
+        w = B.solve(A[:, j])
 
         # Ratio test: entering bound flip vs. first basic variable hitting a bound.
         step = sigma * w
@@ -195,14 +203,44 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             basis[leave_pos] = j
             nonbasic[k] = leave_var
             at_upper[j] = False
-            B = refactor()  # also refreshes against accumulated drift
-            reduced = None
+            B, reduced = refactor()  # also refreshes against accumulated drift
 
     return LpSolution("iteration-limit", np.array(z[:n]), float(lp.c @ z[:n]), max_iter)
 
 
+class _BlockBasis:
+    """A basis of ``[G I]`` held as its structural block ``G[R, S]``."""
+
+    def __init__(self, G: np.ndarray, basis: np.ndarray):
+        m, n = G.shape
+        self.structural = basis < n  # basis positions holding a column of G
+        self.cols = basis[self.structural]  # S, in basis order
+        self.slack_rows = basis[~self.structural] - n  # T, in basis order
+        free = np.ones(m, dtype=bool)
+        free[self.slack_rows] = False
+        self.rows = np.flatnonzero(free)  # R: rows whose slack is nonbasic
+        basic_columns = G[:, self.cols]
+        self.block = basic_columns[self.rows]
+        self.coupling = basic_columns[self.slack_rows]
+
+    def solve(self, a: np.ndarray) -> np.ndarray:
+        """w with B w = a, indexed by basis position."""
+        w_s = _solve(self.block, a[self.rows])
+        w = np.empty(self.structural.size)
+        w[self.structural] = w_s
+        w[~self.structural] = a[self.slack_rows] - self.coupling @ w_s
+        return w
+
+    def dual(self, c_s: np.ndarray) -> np.ndarray:
+        """y with B^T y = c_B, for costs c_s of the basic structurals and
+        zero on every slack."""
+        y = np.zeros(self.structural.size)
+        y[self.rows] = _solve(self.block.T, c_s)
+        return y
+
+
 def _solve(M, rhs):
-    """Solve with a basis matrix (or its transpose) for one right-hand side."""
+    """Solve with a basis block (or its transpose) for one right-hand side."""
     try:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ioshock import (
     Constraints,
@@ -16,6 +18,7 @@ from ioshock import (
     solve,
 )
 from ioshock.errors import DimensionMismatch, SolverFailure
+from ioshock.lp import _BlockBasis
 
 from conftest import random_economy, random_scenario, sized_economy
 
@@ -152,10 +155,31 @@ class TestSolve:
             assert opt(mid) >= 0.5 * (opt(base) + opt(other)) - 1e-8
 
     def test_singular_basis_is_solver_failure(self):
-        # Reduced from a consumption LP of a thinned sparse economy: rows
-        # 1 and 6 pin y2 and y1 to zero, the pivots are degenerate, and a
-        # rounding-noise entry of 1.8e-9 passes the pivot tolerance, so
-        # the next basis is exactly singular.
+        # Found by a seeded search over small LPs with the coefficients of
+        # the LP below. Rows 4, 0, 3, 1, 2 and 5 pin every variable to 0.
+        # The sixth entering column has basic values up to 1e7, and y0's
+        # entry comes out as rounding noise of -1.1e-9, which passes the
+        # pivot tolerance; y0 leaves for row 4's slack, and the next
+        # structural block, rows 0, 2, 3, 5 by columns 3, 1, 2, 6, has rank 3.
+        G = np.zeros((6, 7))
+        G[0, 2:4] = [1.0, -0.01]
+        G[1, 4:6] = [-0.001, -0.0005]
+        G[2, [0, 1, 4]] = [-0.0005, 1.0, -0.01]
+        G[3, [1, 5]] = [-0.01, -0.01]
+        G[4, 2] = -0.001
+        G[5, [1, 3, 6]] = [1.0, -0.05, -0.0005]
+        lp = LinearProgram(c=np.array([0.97, 1.0, 0.97, 1.0, 0.97, 0.98, 0.97]),
+                           lb=np.zeros(7), ub=np.array([2.0, 2, 1, 2, 1, 1, 1]),
+                           G=G, row_lb=np.zeros(6), row_ub=np.ones(6))
+        with pytest.raises(SolverFailure, match="^simplex basis became singular") as exc:
+            solve(lp)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_former_singular_basis_lp_solves(self):
+        # Reduced from a consumption LP of a thinned sparse economy; rows 1
+        # and 6 pin y2 and y1 to zero. A rounding-noise pivot of 1.8e-9 made
+        # the m x m basis solve meet a singular basis; the structural block
+        # does not, and the optimum is 0.97 + 0.98 + 1 (HiGHS agrees).
         G = np.zeros((7, 6))
         G[0, :2] = [-0.001, 1.0]
         G[1, 2] = -0.004
@@ -167,9 +191,58 @@ class TestSolve:
         lp = LinearProgram(c=np.array([1.0, 1.0, 1.0, 0.97, 0.98, 1.0]),
                            lb=np.zeros(6), ub=np.array([1.0, 1, 1, 1, 1, 2]),
                            G=G, row_lb=np.zeros(7), row_ub=np.ones(7))
-        with pytest.raises(SolverFailure, match="^simplex basis became singular") as exc:
-            solve(lp)
-        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+        sol = solve(lp)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(2.95, rel=1e-12)
+        npt.assert_allclose(sol.y, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0], atol=1e-12)
+
+
+def basis_case(m, n, k, seed):
+    """G (m x n), a basis of [G I] holding k columns of G and m - k slacks
+    in shuffled positions, a right-hand side a and costs of the k basic
+    columns."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(m, n))
+    cols = rng.choice(n, k, replace=False)
+    slack_rows = rng.choice(m, m - k, replace=False)
+    basis = rng.permutation(np.concatenate([cols, n + slack_rows]))
+    return G, basis, rng.normal(size=m), rng.normal(size=k)
+
+
+@st.composite
+def basis_cases(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return basis_case(m, n, draw(st.integers(0, min(m, n))),
+                      draw(st.integers(0, 2**32 - 1)))
+
+
+def solves(M, v, rhs, rel=1e-12):
+    """|M v - rhs| <= rel (|M| |v| + |rhs|), in the infinity norm."""
+    def norm(x):
+        return np.linalg.norm(x, np.inf)
+    return norm(M @ v - rhs) <= rel * (norm(M) * norm(v) + norm(rhs))
+
+
+class TestBlockBasis:
+    """The structural-block solves against the full basis matrix."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(basis_cases())
+    @example(basis_case(5, 3, 0, 1))  # k = 0: every slack basic
+    @example(basis_case(4, 6, 4, 2))  # k = m: every structural basic
+    @example(basis_case(6, 6, 6, 3))
+    @example(basis_case(1, 1, 1, 4))
+    def test_solves_full_basis(self, drawn):
+        G, basis, a, c_s = drawn
+        m, n = G.shape
+        B = np.hstack([G, np.eye(m)])[:, basis]
+        c_B = np.zeros(m)
+        c_B[basis < n] = c_s
+        block = _BlockBasis(G, basis)
+        w = block.solve(a)
+        y = block.dual(c_s)
+        assert solves(B, w, a)
+        assert solves(B.T, y, c_B)
 
 
 def thinned(e, target, seed):
