@@ -121,11 +121,13 @@ def build_economy(Z, f, labels=None) -> Economy:
 
 
 def coefficients(e: Economy) -> LeontiefOperator:
-    """Derive A = Z diag(x)^-1 and L = (I - A)^-1 by dense LU factorization.
+    """Derive A = Z diag(x)^-1 and L = (I - A)^-1 with ``numpy.linalg.inv``
+    (one dense LU factorization).
 
     Industries with zero output must have an all-zero input column (their
     A column is zero). Raises NonProductive if (I - A) is singular or the
-    inverse carries negative entries (Hawkins-Simon failure).
+    inverse carries negative entries (Hawkins-Simon failure). Holds about
+    three n x n arrays at its peak: A, I - A and L.
     """
     x = e.x
     zero_out = x <= 0
@@ -138,9 +140,11 @@ def coefficients(e: Economy) -> LeontiefOperator:
             )
     denom = np.where(zero_out, 1.0, x)
     A = e.Z / denom[np.newaxis, :]
-    ImA = np.eye(e.n) - A
+    # 0 - A, then the diagonal + 1: bitwise np.eye(n) - A, signed zeros too
+    ImA = np.subtract(0.0, A)
+    ImA[np.diag_indices_from(ImA)] += 1.0
     try:
-        L = np.linalg.solve(ImA, np.eye(e.n))
+        L = np.linalg.inv(ImA)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NonProductive(f"(I - A) is singular: {exc}") from exc
     if not np.all(np.isfinite(L)):
@@ -149,7 +153,9 @@ def coefficients(e: Economy) -> LeontiefOperator:
         raise NonProductive(
             f"Leontief inverse has entry {np.min(L):.3e} < {_HS_TOLERANCE}"
         )
-    return LeontiefOperator(A=_frozen(A), L=_frozen(L))
+    A.setflags(write=False)
+    L.setflags(write=False)
+    return LeontiefOperator(A=A, L=L)
 
 
 def total_demand(op: LeontiefOperator, f) -> np.ndarray:

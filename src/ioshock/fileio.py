@@ -5,13 +5,17 @@ with ``#`` are comments. Every emitted file opens with one provenance
 comment line (seeds, tolerances, input digests as JSON); stripping it
 yields strict CSV. Numbers are written with shortest round-trip repr so
 reruns with the same inputs produce byte-identical files.
+
+Input files are read one line at a time: an economy file goes row by row
+straight into its arrays and never lives in memory as text, and inputs
+are hashed in fixed-size chunks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -47,8 +51,11 @@ SUMMARY_HEADER = ["alpha_supply", "alpha_demand", "density_target", "method",
 
 
 def file_digest(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _data_rows(path):
@@ -57,7 +64,7 @@ def _data_rows(path):
         for lineno, line in enumerate(fh, start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            row = next(csv.reader(io.StringIO(line)))
+            row = next(csv.reader((line,)))
             yield lineno, [cell.strip() for cell in row]
 
 
@@ -73,43 +80,81 @@ def _parse_float(cell, path, lineno, col):
     return value
 
 
+def _economy_header(header, path, lineno):
+    """(labels, has_x) named by an economy file's header row."""
+    if len(header) < 3 or header[0] != "industry":
+        raise ParseError(f"{path}:{lineno}: header must start with 'industry'")
+    has_x = header[-1] == "gross_output"
+    fd_col = header[-2] if has_x else header[-1]
+    if fd_col != "final_demand":
+        raise ParseError(f"{path}:{lineno}: expected 'final_demand' column, got {fd_col!r}")
+    return (header[1:-2] if has_x else header[1:-1]), has_x
+
+
+def _economy_row(row, label, width, path, lineno):
+    """The numbers of one economy data row: its flows, f and declared x."""
+    if len(row) != width:
+        raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+    if row[0] != label:
+        raise ParseError(
+            f"{path}:{lineno}: row label {row[0]!r} does not match header order ({label!r})"
+        )
+    try:
+        values = list(map(float, row[1:]))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        # cell by cell, which raises the located error of the first bad one
+        for col, cell in enumerate(row[1:], start=1):
+            _parse_float(cell, path, lineno, col)
+    return values
+
+
 def parse_economy_csv(path) -> Economy:
     """Read an economy file: one supplier row of Z per industry plus f.
 
     Header is ``industry,<labels...>,final_demand`` with an optional
     trailing ``gross_output`` column cross-checked against the derived x.
+    The file is read one row at a time straight into preallocated arrays,
+    so parsing holds about 2 n**2 doubles (Z and the Economy's frozen
+    copy), never the text of every cell. Errors rank as if the whole file
+    were read first: a line that does not decode, then the header, then
+    the number of data rows, then the first bad row.
     """
-    rows = list(_data_rows(path))
-    if not rows:
-        raise ParseError(f"{path}: no header row")
-    (header_lineno, header), data = rows[0], rows[1:]
-    if len(header) < 3 or header[0] != "industry":
-        raise ParseError(f"{path}:{header_lineno}: header must start with 'industry'")
-    has_x = header[-1] == "gross_output"
-    labels = header[1:-2] if has_x else header[1:-1]
-    fd_col = header[-2] if has_x else header[-1]
-    if fd_col != "final_demand":
-        raise ParseError(f"{path}:{header_lineno}: expected 'final_demand' column, got {fd_col!r}")
-    n = len(labels)
-    if len(data) != n:
-        raise ParseError(f"{path}: header names {n} industries but file has {len(data)} data rows")
-
-    Z = np.zeros((n, n))
-    f = np.zeros(n)
-    declared_x = np.zeros(n) if has_x else None
-    width = n + (3 if has_x else 2)
-    for r, (lineno, row) in enumerate(data):
-        if len(row) != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
-        if row[0] != labels[r]:
-            raise ParseError(
-                f"{path}:{lineno}: row label {row[0]!r} does not match header order ({labels[r]!r})"
-            )
-        for j in range(n):
-            Z[r, j] = _parse_float(row[1 + j], path, lineno, 1 + j)
-        f[r] = _parse_float(row[1 + n], path, lineno, 1 + n)
-        if has_x:
-            declared_x[r] = _parse_float(row[2 + n], path, lineno, 2 + n)
+    with contextlib.closing(_data_rows(path)) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: no header row")
+        header_lineno, header = first
+        try:
+            labels, has_x = _economy_header(header, path, header_lineno)
+        except ParseError:
+            for _ in rows:  # a line further on that does not decode outranks it
+                pass
+            raise
+        n = len(labels)
+        width = n + (3 if has_x else 2)
+        Z = np.empty((n, n))
+        f = np.empty(n)
+        declared_x = np.empty(n) if has_x else None
+        count, error = 0, None
+        for lineno, row in rows:
+            r, count = count, count + 1
+            if r >= n or error is not None:
+                continue  # only counted: a wrong row count outranks a bad row
+            try:
+                values = _economy_row(row, labels[r], width, path, lineno)
+            except ParseError as exc:
+                error = exc
+                continue
+            Z[r] = values[:n]
+            f[r] = values[n]
+            if has_x:
+                declared_x[r] = values[n + 1]
+    if count != n:
+        raise ParseError(f"{path}: header names {n} industries but file has {count} data rows")
+    if error is not None:
+        raise error
 
     e = build_economy(Z, f, labels=labels)
     if has_x:

@@ -1,6 +1,8 @@
 """Shared fixtures: the two hand-checked toy economies and generators
 for random productive economies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,13 @@ def random_scenario(rng, n, max_supply=1.0, max_demand=1.0):
         max_supply * rng.random(n) * (rng.random(n) < 0.7),
         max_demand * rng.random(n) * (rng.random(n) < 0.7),
     )
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc saw allocated while fn(*args) ran."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

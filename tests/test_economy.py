@@ -18,7 +18,7 @@ from ioshock.errors import (
     ZeroOutputWithInputs,
 )
 
-from conftest import CHAIN3_F, random_economy
+from conftest import CHAIN3_F, random_economy, sized_economy, traced_peak
 
 
 class TestBuildEconomy:
@@ -98,6 +98,31 @@ class TestCoefficients:
         e = build_economy([[0.0, 0.0], [0.0, 0.0]], [1.0, 0.0])
         op = coefficients(e)
         npt.assert_array_equal(op.A[:, 1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("e", [
+        sized_economy(0, 56, 0.8), sized_economy(1, 56, 0.1),
+        sized_economy(2, 250, 0.3),
+        # signed zeros in Z, so in A: np.eye(n) - A is +0.0 off the diagonal
+        build_economy([[-0.0, 1.0, 0.0], [0.0, -0.0, -0.0], [2.0, 0.0, 0.0]],
+                      [1.0, 2.0, 3.0]),
+    ], ids=["n56-dense", "n56-sparse", "n250", "signed-zeros"])
+    def test_matches_solve_form(self, e):
+        # reference: I - A from a fresh identity, solved against a second one
+        A = e.Z / np.where(e.x <= 0, 1.0, e.x)[np.newaxis, :]
+        L = np.linalg.solve(np.eye(e.n) - A, np.eye(e.n))
+        op = coefficients(e)
+        assert np.array_equal(op.A.view(np.int64), A.view(np.int64))
+        assert np.array_equal(op.L.view(np.int64), L.view(np.int64))
+
+    def test_read_only(self, pair2_op):
+        assert not pair2_op.A.flags.writeable
+        assert not pair2_op.L.flags.writeable
+
+    def test_peak_memory(self):
+        n = 200
+        e = sized_economy(3, n, 0.3)
+        # A, I - A and L: about 3.1 n**2 doubles
+        assert traced_peak(coefficients, e) <= 4 * n**2 * 8
 
 
 class TestTotalDemand:

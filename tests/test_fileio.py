@@ -1,5 +1,8 @@
 import csv
+import hashlib
+import io
 import json
+import math
 import re
 
 import numpy as np
@@ -25,14 +28,16 @@ from ioshock import (
 )
 from ioshock.errors import (
     IdentityViolation,
+    IoShockError,
     MissingIndustry,
     NegativeEntry,
     OutOfRange,
     ParseError,
     UnknownIndustry,
 )
+from ioshock.fileio import ECONOMY_GROSS_OUTPUT_RTOL
 
-from conftest import random_economy
+from conftest import random_economy, sized_economy, traced_peak
 
 CHAIN3_CSV = """\
 # toy three-industry chain
@@ -211,6 +216,202 @@ class TestRoundTripProperty:
         npt.assert_array_equal(s.eps_demand, demand)
 
 
+def loop_data_rows(path):
+    """Reference: the line reader as first written, a StringIO per line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            row = next(csv.reader(io.StringIO(line)))
+            yield lineno, [cell.strip() for cell in row]
+
+
+def loop_parse_float(cell, path, lineno, col):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(
+            f"{path}:{lineno} column {col + 1}: {cell!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{path}:{lineno} column {col + 1}: {cell!r} is not finite")
+    return value
+
+
+def loop_parse_economy_csv(path):
+    """Reference: the economy parser as first written, which holds every
+    line of the file before it converts one cell at a time."""
+    rows = list(loop_data_rows(path))
+    if not rows:
+        raise ParseError(f"{path}: no header row")
+    (header_lineno, header), data = rows[0], rows[1:]
+    if len(header) < 3 or header[0] != "industry":
+        raise ParseError(f"{path}:{header_lineno}: header must start with 'industry'")
+    has_x = header[-1] == "gross_output"
+    labels = header[1:-2] if has_x else header[1:-1]
+    fd_col = header[-2] if has_x else header[-1]
+    if fd_col != "final_demand":
+        raise ParseError(f"{path}:{header_lineno}: expected 'final_demand' column, got {fd_col!r}")
+    n = len(labels)
+    if len(data) != n:
+        raise ParseError(f"{path}: header names {n} industries but file has {len(data)} data rows")
+
+    Z = np.zeros((n, n))
+    f = np.zeros(n)
+    declared_x = np.zeros(n) if has_x else None
+    width = n + (3 if has_x else 2)
+    for r, (lineno, row) in enumerate(data):
+        if len(row) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+        if row[0] != labels[r]:
+            raise ParseError(
+                f"{path}:{lineno}: row label {row[0]!r} does not match header order ({labels[r]!r})"
+            )
+        for j in range(n):
+            Z[r, j] = loop_parse_float(row[1 + j], path, lineno, 1 + j)
+        f[r] = loop_parse_float(row[1 + n], path, lineno, 1 + n)
+        if has_x:
+            declared_x[r] = loop_parse_float(row[2 + n], path, lineno, 2 + n)
+
+    e = build_economy(Z, f, labels=labels)
+    if has_x:
+        scale = np.maximum(np.abs(e.x), 1.0)
+        bad = np.flatnonzero(np.abs(declared_x - e.x) > ECONOMY_GROSS_OUTPUT_RTOL * scale)
+        if bad.size:
+            i = int(bad[0])
+            raise IdentityViolation(
+                f"{path}: declared gross_output {declared_x[i]} for {labels[i]} "
+                f"disagrees with derived {e.x[i]}"
+            )
+    return e
+
+
+def assert_same_economy(a, b):
+    """Equal labels and bitwise equal arrays, so signed zeros count."""
+    assert a.labels == b.labels
+    for name in ("Z", "f", "x", "v"):
+        assert np.array_equal(getattr(a, name).view(np.int64),
+                              getattr(b, name).view(np.int64)), name
+
+
+def parse_outcome(parse, path):
+    """The Economy parse makes of path, or the (type, message) it raises."""
+    try:
+        return parse(path)
+    except (IoShockError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+PARTS_ROW = "parts,0,0,0,6,6\n"
+#: comment lines enough to push a later line past the first decoded chunk
+PADDING = "# padding\n" * 3000
+
+
+MALFORMED = {
+    **{f"{cell}-in-{where}": CHAIN3_CSV_WITH_X.replace(PARTS_ROW, row)
+       for cell in ("nan", "inf", "abc")
+       for where, row in (("Z", f"parts,0,{cell},0,6,6\n"),
+                          ("final_demand", f"parts,0,0,0,{cell},6\n"),
+                          ("gross_output", f"parts,0,0,0,6,{cell}\n"))},
+    "short-row": CHAIN3_CSV_WITH_X.replace(PARTS_ROW, "parts,0,0,0,6\n"),
+    "long-row": CHAIN3_CSV_WITH_X.replace(PARTS_ROW, "parts,0,0,0,6,6,1\n"),
+    "wrong-row-label": CHAIN3_CSV_WITH_X.replace(PARTS_ROW, "goods,0,0,0,6,6\n"),
+    "too-few-rows": CHAIN3_CSV_WITH_X.replace("goods,0,0,0,8,8\n", ""),
+    "too-few-rows-and-bad-cell": CHAIN3_CSV_WITH_X.replace(
+        "goods,0,0,0,8,8\n", "").replace(PARTS_ROW, "parts,0,abc,0,6,6\n"),
+    "too-many-rows": CHAIN3_CSV_WITH_X + "extra,0,0,0,1,1\n",
+    "too-many-rows-and-bad-cell": CHAIN3_CSV_WITH_X.replace(
+        PARTS_ROW, "parts,0,nan,0,6,6\n") + "extra,0,0,0,1,1\n",
+    "too-many-rows-and-short-row": CHAIN3_CSV_WITH_X.replace(
+        PARTS_ROW, "parts,0\n") + "extra\n",
+    "empty-file": "",
+    "only-comments": "# only comments\n\n",
+    "bad-first-header-cell": CHAIN3_CSV_WITH_X.replace("industry,", "sector,"),
+    "no-final-demand": CHAIN3_CSV_WITH_X.replace("final_demand", "demand"),
+    "bad-header-and-too-few-rows": "industry,a,b,demand\na,0,0,1\n",
+    "gross-output-mismatch": CHAIN3_CSV_WITH_X.replace(",4,10", ",4,11"),
+    "negative-flow": CHAIN3_CSV.replace("upstream,0,4,2,4", "upstream,0,-4,2,4"),
+    "crlf": CHAIN3_CSV_WITH_X.replace("\n", "\r\n"),
+    "crlf-and-bad-cell": CHAIN3_CSV_WITH_X.replace(
+        PARTS_ROW, "parts,0,0,abc,6,6\n").replace("\n", "\r\n"),
+    "interleaved-comments": CHAIN3_CSV.replace(
+        "parts,0,0,0,6\n", "\n# a\nparts,0,0,0,6\n  \n  # b\n\n"),
+    "interleaved-comments-and-bad-cell": CHAIN3_CSV.replace(
+        "parts,0,0,0,6\n", "\n# a\nparts,0,0,0,6\n  \n  # b\n\n").replace(
+        "goods,0,0,0,8", "goods,0,0,inf,8"),
+    "quoted-label-with-comma": CHAIN3_CSV.replace("upstream", '"up,stream"'),
+    "quoted-label-with-comma-and-long-row": CHAIN3_CSV.replace(
+        "upstream", '"up,stream"').replace("goods,0,0,0,8", 'goods,0,0,0,8,"9,9"'),
+    "signed-zeros": CHAIN3_CSV.replace("parts,0,0,0,6", "parts,-0.0,-0,0,6"),
+    "spaces-and-exponents": CHAIN3_CSV.replace("upstream,0,4,2,4",
+                                               "upstream, 0 ,4e0, 2.0 ,+4"),
+}
+#: files that do not decode as UTF-8, the bad byte past the first chunk read
+UNDECODABLE = {
+    "undecodable-after-bad-header": (
+        CHAIN3_CSV.replace("industry,", "sector,") + PADDING).encode() + b"\xff\n",
+    "undecodable-after-bad-cell": (
+        CHAIN3_CSV.replace("parts,0,0,0,6", "parts,0,x,0,6") + PADDING).encode()
+        + b"# \xff\n",
+    "undecodable-after-all-rows": (CHAIN3_CSV + PADDING).encode() + b"\xfe\n",
+}
+
+
+class TestStreamingParser:
+    """parse_economy_csv against the whole-file loop form it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(economies())
+    def test_matches_loop_form(self, tmp_path_factory, e):
+        p = tmp_path_factory.mktemp("economy") / "e.csv"
+        write_economy_csv(p, e)
+        assert_same_economy(parse_economy_csv(p), loop_parse_economy_csv(p))
+
+    @pytest.mark.parametrize("name", [*MALFORMED, *UNDECODABLE])
+    def test_same_outcome_as_loop_form(self, tmp_path, name):
+        p = tmp_path / "e.csv"
+        if name in UNDECODABLE:
+            p.write_bytes(UNDECODABLE[name])
+        else:
+            p.write_text(MALFORMED[name], encoding="utf-8", newline="")
+        got, want = parse_outcome(parse_economy_csv, p), parse_outcome(loop_parse_economy_csv, p)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_economy(got, want)
+
+    def test_row_count_outranks_a_bad_cell(self, tmp_path):
+        for name, count in (("too-few-rows-and-bad-cell", 2),
+                            ("too-many-rows-and-bad-cell", 4)):
+            p = write(tmp_path, f"{name}.csv", MALFORMED[name])
+            with pytest.raises(ParseError, match=rf"{name}\.csv: header names 3 "
+                                                 rf"industries but file has {count} data rows"):
+                parse_economy_csv(p)
+
+    def test_crlf_reads_like_lf(self, tmp_path):
+        p = tmp_path / "crlf.csv"
+        p.write_text(MALFORMED["crlf"], encoding="utf-8", newline="")
+        assert_same_economy(parse_economy_csv(p), parse_economy_csv(
+            write(tmp_path, "lf.csv", CHAIN3_CSV_WITH_X)))
+        p.write_text(MALFORMED["crlf-and-bad-cell"], encoding="utf-8", newline="")
+        with pytest.raises(ParseError, match=r"crlf\.csv:3 column 4: 'abc'"):
+            parse_economy_csv(p)
+
+    def test_quoted_label_with_comma(self, tmp_path):
+        e = parse_economy_csv(write(tmp_path, "e.csv", MALFORMED["quoted-label-with-comma"]))
+        assert e.labels == ("up,stream", "parts", "goods")
+
+
+class TestParseMemory:
+    N = 200
+
+    def test_parse_holds_few_copies_of_z(self, tmp_path):
+        p = tmp_path / "e.csv"
+        write_economy_csv(p, sized_economy(3, self.N, 0.3))
+        # Z and the Economy's copy of it: about 2.2 n**2 doubles
+        assert traced_peak(parse_economy_csv, p) <= 3 * self.N**2 * 8
+
+
 class TestParseShocks:
     LABELS = ("upstream", "parts", "goods")
 
@@ -329,3 +530,9 @@ class TestWriteResults:
         p = write(tmp_path, "x.txt", "hello\n")
         assert file_digest(p) == (
             "5891b5b522d5df086d0ff0b110fbd9d21bb4fc7163af34d08286a2e846f6be03")
+
+    def test_digest_of_file_larger_than_chunks(self, tmp_path):
+        data = np.random.default_rng(5).bytes(3 * 2**20 + 12345)
+        p = tmp_path / "big.bin"
+        p.write_bytes(data)
+        assert file_digest(p) == hashlib.sha256(data).hexdigest()
