@@ -1,11 +1,11 @@
 """Propagation of simultaneous supply and demand shocks through
 input-output production networks.
 
-Best-case feasible allocations come from two linear programs; realistic
-bottom-up allocations from four rationing fixed points; the mixed
-endogenous/exogenous block solve is included with diagnostics showing
-where it breaks. Sweep experiments vary shock magnitude and network
-density across all methods.
+Best-case feasible allocations come from one linear program with two
+objectives; realistic bottom-up allocations from four rationing fixed
+points; the mixed endogenous/exogenous block solve is included with
+diagnostics showing where it breaks. Sweep experiments vary shock
+magnitude and network density across all methods.
 """
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ from .fileio import (
 from .lp import (
     LinearProgram,
     LpSolution,
-    build_max_consumption_lp,
     build_max_output_lp,
     optimal_allocation,
     solve,

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -45,6 +46,9 @@ _VALIDATION_ERRORS = (
 
 #: most points a start:stop:step grid may hold
 MAX_GRID_POINTS = 10_000
+
+#: how a byte that is not UTF-8 reads back under errors="surrogateescape"
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 def _grid_values(text, flag="grid"):
@@ -151,12 +155,36 @@ def _methods(arg):
     return tuple(m.strip() for m in arg.split(",") if m.strip())
 
 
+def _not_utf8(path, exc):
+    """A ParseError naming the first line of path that does not decode,
+    lines counted as the parsers count them."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            bad = _ESCAPED_BYTE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return ParseError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8 "
+                                  f"({exc.reason})")
+    return ParseError(f"{path}: not UTF-8 ({exc})")
+
+
+def _parse(parse, path, *args, **kwargs):
+    """Run one file parser; a file that cannot be read or is not UTF-8
+    raises a ParseError that names it."""
+    try:
+        return parse(path, *args, **kwargs)
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
 def _load(args, need_shocks=True):
-    economy = parse_economy_csv(args.economy)
+    economy = _parse(parse_economy_csv, args.economy)
     scenario = None
     if getattr(args, "shocks", None):
-        scenario = parse_shocks_csv(
-            args.shocks, economy.labels,
+        scenario = _parse(
+            parse_shocks_csv, args.shocks, economy.labels,
             percent=args.percent, allow_missing=args.allow_missing,
         )
     elif need_shocks:

@@ -33,18 +33,9 @@ class ZeroAggregate(IoShockError):
     """Aggregate shock undefined because total baseline output is zero."""
 
 
-class IterationLimit(IoShockError):
-    """Simplex pivot budget exhausted before reaching optimality."""
-
-
-class InfeasibleStart(IoShockError):
-    """The all-lower-bound point violates a row bound; the solver only
-    handles programs that are feasible at that point (all programs built
-    by this package are)."""
-
-
 class SolverFailure(IoShockError):
-    """The simplex terminated at a point violating its own bounds."""
+    """The simplex reached no optimum: an infeasible start, an exhausted
+    pivot budget, a singular basis or an end point outside its bounds."""
 
 
 class SingularBlock(IoShockError):

@@ -8,6 +8,7 @@ sample), so reruns are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,10 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
     for method in spec.methods:
         samples = spec.random_samples if method == "random" else 1
         for k in range(samples):
-            seed = _sample_seed(spec.master_seed, grid_index, replicate, k)
+            # only the random rule draws numbers; building a SeedSequence
+            # for the others would import numpy.random for nothing
+            seed = (_sample_seed(spec.master_seed, grid_index, replicate, k)
+                    if method == "random" else None)
             try:
                 allocation, converged = run_method(method, e, op, c,
                                                    spec.options, seed)
@@ -276,13 +280,39 @@ def summarize(records):
         outs = np.array([r.norm_output for r in ok])
         cons = np.array([r.norm_consumption for r in ok])
         if outs.size:
-            oq = np.percentile(outs, [25, 50, 75])
-            cq = np.percentile(cons, [25, 50, 75])
-            stats = (float(outs.mean()), *map(float, oq),
-                     float(cons.mean()), *map(float, cq))
+            stats = (float(outs.mean()), *_quartiles(outs),
+                     float(cons.mean()), *_quartiles(cons))
         else:
             stats = (float("nan"),) * 8
         out.append(SweepSummary(*key, len(rows), len(rows) - len(ok), *stats))
+    return out
+
+
+def _quartiles(values):
+    """``np.percentile(values, [25, 50, 75])`` as floats, bit for bit,
+    without the ``np.unique`` call through which np.percentile imports
+    numpy.ma: numpy's partition (a sort can order 0.0 and -0.0 the other
+    way) and its "linear" interpolation."""
+    v = np.array(values, dtype=float)
+    n = v.size
+    picks = []
+    for q in (0.25, 0.5, 0.75):
+        pos = (n - 1) * q
+        lo = math.floor(pos)
+        if pos >= n - 1:  # n == 1: numpy takes the last value from both sides
+            lo, hi = -1, -1
+        else:
+            hi = lo + 1
+        picks.append((lo, hi, pos - lo))
+    v.partition(sorted({0, -1, *(k for lo, hi, _ in picks for k in (lo, hi))}))
+    last = float(v[-1])
+    if last != last:  # NaN sorts last and then is every quartile
+        return [last] * 3
+    out = []
+    for lo, hi, g in picks:
+        a, b = float(v[lo]), float(v[hi])
+        d = b - a
+        out.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
     return out
 
 

@@ -1,11 +1,12 @@
 """Best-case feasible allocations via linear programming.
 
-Two box-constrained programs define minimal shock propagation: pick final
-consumption to maximize total gross output, or pick gross output to
-maximize total final consumption, subject to two-sided row bounds that
-keep the complementary quantity inside its ceiling. Both are solved by a
-self-contained simplex method for bounded variables; two-sided rows are
-handled natively through ranged slacks rather than by doubling rows.
+Minimal shock propagation is one polytope with two objectives: pick final
+consumption f with 0 <= f <= f_max such that gross output x = L f stays
+within 0 <= x <= x_max, then maximize total output 1^T L f or total
+consumption 1^T f. The all-zero consumption vector (full collapse) is
+always feasible, so the simplex starts there. It is a self-contained
+simplex method for bounded variables; the two-sided rows are handled
+natively through ranged slacks rather than by doubling rows.
 
 The equality form is ``[G I]``, so every basis is ``[G[:, S] | I[:, T]]``
 with S the basic structural columns and T the rows whose slack is basic.
@@ -28,11 +29,12 @@ the entering column moves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .economy import Economy, LeontiefOperator
-from .errors import DimensionMismatch, InfeasibleStart, IterationLimit, SolverFailure
+from .errors import DimensionMismatch, SolverFailure
 from .shocks import Allocation, Constraints
 
 _PIVOT_TOL = 1e-9
@@ -60,42 +62,37 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    # "optimal" | "iteration-limit"; a start that breaks a row bound raises
-    # InfeasibleStart instead
-    status: str
     y: np.ndarray
     objective: float
     iterations: int
+    #: always "optimal": a solve that reaches no optimum raises
+    #: SolverFailure; benchmarks/tracing.py still reads the name
+    status: ClassVar[str] = "optimal"
 
 
-def build_max_output_lp(op: LeontiefOperator, c: Constraints) -> LinearProgram:
-    """Decision variable is consumption; rows keep L f within output ceilings."""
+def build_max_output_lp(op: LeontiefOperator, c: Constraints,
+                        objective: str = "output") -> LinearProgram:
+    """The best-case program: the variable is consumption f within its
+    ceilings, the rows keep output L f within its ceilings, and the
+    objective is total output (``"output"``) or total consumption
+    (``"consumption"``). The name predates the second objective;
+    benchmarks/tracing.py times the builder under it."""
     n = op.n
     if c.x_max.shape != (n,) or c.f_max.shape != (n,):
         raise DimensionMismatch("constraints do not match operator dimension")
+    if objective == "output":
+        weights = op.L.sum(axis=0)
+    elif objective == "consumption":
+        weights = np.ones(n)
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
     return LinearProgram(
-        c=op.L.sum(axis=0),
+        c=weights,
         lb=np.zeros(n),
         ub=np.array(c.f_max),
         G=np.array(op.L),
         row_lb=np.zeros(n),
         row_ub=np.array(c.x_max),
-    )
-
-
-def build_max_consumption_lp(op: LeontiefOperator, c: Constraints) -> LinearProgram:
-    """Decision variable is output; rows keep (I - A) x within demand ceilings."""
-    n = op.n
-    if c.x_max.shape != (n,) or c.f_max.shape != (n,):
-        raise DimensionMismatch("constraints do not match operator dimension")
-    ImA = np.eye(n) - op.A
-    return LinearProgram(
-        c=ImA.sum(axis=0),
-        lb=np.zeros(n),
-        ub=np.array(c.x_max),
-        G=ImA,
-        row_lb=np.zeros(n),
-        row_ub=np.array(c.f_max),
     )
 
 
@@ -105,7 +102,9 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     Starts from the all-lower-bound point with a slack basis; programs
     built by this module are always feasible there (the full-collapse
     allocation). Switches to Bland's rule after a run of degenerate pivots
-    to rule out cycling.
+    to rule out cycling. Raises SolverFailure when the start breaks a row
+    bound, when ``max_iter`` pivots do not reach an optimum, or when the
+    basis turns singular.
     """
     n = lp.c.size
     m = lp.G.shape[0]
@@ -146,7 +145,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
 
     B, reduced = refactor()
     if np.any(z[basis] < lo[basis] - ftol) or np.any(z[basis] > hi[basis] + ftol):
-        raise InfeasibleStart(
+        raise SolverFailure(
             "all-lower-bound point violates a row bound; "
             "only programs feasible at their lower bounds are supported"
         )
@@ -157,7 +156,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             at_upper[nonbasic], reduced < -_PIVOT_TOL, reduced > _PIVOT_TOL)
         if not eligible.any():
             _assert_solution(lp, z[:n], ftol)
-            return LpSolution("optimal", np.array(z[:n]), float(lp.c @ z[:n]), it - 1)
+            return LpSolution(np.array(z[:n]), float(lp.c @ z[:n]), it - 1)
 
         if stall > stall_limit:
             # Bland: smallest variable index
@@ -205,7 +204,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
             at_upper[j] = False
             B, reduced = refactor()  # also refreshes against accumulated drift
 
-    return LpSolution("iteration-limit", np.array(z[:n]), float(lp.c @ z[:n]), max_iter)
+    raise SolverFailure(f"simplex reached no optimum in {max_iter} pivots")
 
 
 class _BlockBasis:
@@ -263,7 +262,8 @@ def _assert_solution(lp: LinearProgram, y: np.ndarray, ftol: float):
 
 def optimal_allocation(e: Economy, c: Constraints, objective: str,
                        op: LeontiefOperator | None = None) -> Allocation:
-    """Solve one of the two programs and assemble the full (x, f) pair.
+    """Solve the best-case program for one objective and assemble the
+    full (x, f) pair.
 
     ``objective`` is "output" or "consumption"; the method tag records it.
     """
@@ -271,18 +271,9 @@ def optimal_allocation(e: Economy, c: Constraints, objective: str,
         from .economy import coefficients
 
         op = coefficients(e)
-    if objective == "output":
-        sol = solve(build_max_output_lp(op, c))
-        f = np.maximum(sol.y, 0.0)
-        x = op.L @ f
-    elif objective == "consumption":
-        sol = solve(build_max_consumption_lp(op, c))
-        x = np.maximum(sol.y, 0.0)
-        f = (np.eye(op.n) - op.A) @ x
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    if sol.status != "optimal":
-        raise IterationLimit(f"simplex stopped with status {sol.status}")
+    sol = solve(build_max_output_lp(op, c, objective))
+    f = np.maximum(sol.y, 0.0)
+    x = op.L @ f
     return Allocation(
         x=x,
         f=f,

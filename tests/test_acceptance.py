@@ -19,7 +19,6 @@ from ioshock import (
     SweepSpec,
     aggregate_shocks,
     build_economy,
-    build_max_consumption_lp,
     build_max_output_lp,
     classify,
     coefficients,
@@ -187,8 +186,8 @@ def test_lp_oracle_equivalence():
         e = random_economy(rng, n=int(rng.integers(2, 4)))
         op = coefficients(e)
         c = make_constraints(e, random_scenario(rng, e.n))
-        for build in (build_max_output_lp, build_max_consumption_lp):
-            lp = build(op, c)
+        for objective in ("output", "consumption"):
+            lp = build_max_output_lp(op, c, objective)
             sol = solve(lp)
             assert sol.status == "optimal"
             assert sol.objective == pytest.approx(enumerate_vertices(lp),

@@ -152,6 +152,32 @@ class TestValidate:
         err = capsys.readouterr().err
         assert f"bad_{which}.csv:2 column 2: {cell!r} is not finite" in err
 
+    @pytest.mark.parametrize("which", ["economy", "shocks"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_exits_one(self, tmp_path, files, capsys, which, kind):
+        path = tmp_path / "absent.csv" if kind == "missing" else tmp_path
+        try:
+            open(path, encoding="utf-8").close()
+        except OSError as exc:
+            reason = exc.strerror
+        paths = dict(files, **{which: str(path)})
+        assert run_command(["validate", "--economy", paths["economy"],
+                            "--shocks", paths["shocks"]]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("which", ["economy", "shocks"])
+    def test_non_utf8_input_exits_one(self, tmp_path, files, capsys, which):
+        text = {"economy": ECONOMY, "shocks": SHOCKS}[which]
+        lines = text.encode().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"0", b"\xff", 1)
+        bad = tmp_path / f"bad_{which}.csv"
+        bad.write_bytes(b"".join(lines))
+        paths = dict(files, **{which: str(bad)})
+        assert run_command(["validate", "--economy", paths["economy"],
+                            "--shocks", paths["shocks"]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: byte 0xff is not UTF-8 (invalid start byte)\n")
+
 
 class TestStartup:
     def test_cli_imports_no_scipy(self):
@@ -168,6 +194,27 @@ class TestStartup:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", child, str(chain3)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_lp_sweep_imports_no_random_or_masked_arrays(self, tmp_path):
+        """A sweep without the random rule draws no random numbers, and its
+        summary's quartiles need no numpy.ma, so neither module loads."""
+        data = Path(__file__).resolve().parents[1] / "demos" / "data"
+        child = ("import sys\n"
+                 "import ioshock.cli\n"
+                 "code = ioshock.cli.run_command(sys.argv[1:])\n"
+                 "print([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])\n"
+                 "sys.exit(code)\n")
+        argv = ["sweep-scale", "--economy", str(data / "chain3.csv"),
+                "--shocks", str(data / "chain3_shocks.csv"),
+                "--methods", "direct,lp_output,lp_consumption",
+                "--alpha-supply", "0:1:0.5", "--out", str(tmp_path / "out")]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ioshock.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", child, *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ioshock import (
     ALL_METHODS,
@@ -12,6 +15,7 @@ from ioshock import (
     sweep_density,
     sweep_scale,
 )
+from ioshock.experiments import _quartiles
 
 DEMAND_ONLY = ShockScenario(np.zeros(3), np.array([0.5, 0.0, 0.0]))
 
@@ -223,3 +227,36 @@ class TestSummarize:
         summaries = summarize(sweep_scale(chain3, chain3_scenario, spec))
         keys = [(s.alpha_supply, s.method) for s in summaries]
         assert keys == sorted(keys)
+
+
+#: values that tie, differ only in the sign of zero, or are not finite
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, math.inf, -math.inf, math.nan]
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+class TestQuartiles:
+    """The summary's quartiles against np.percentile, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()),
+                    min_size=1, max_size=50))
+    @example([-0.0])
+    @example([0.0, -0.0, -0.0])
+    @example([math.inf])
+    @example([1.0, math.nan, 2.0])
+    @example([-0.0, 0.0] * 25)
+    def test_matches_numpy_percentile(self, values):
+        with warnings.catch_warnings():
+            # inf - inf in numpy's interpolation
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.percentile(np.array(values), [25, 50, 75])
+        assert same_bits(_quartiles(np.array(values)), want)
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_every_size_with_duplicates(self, n):
+        values = np.random.default_rng(n).integers(0, 4, n) / 4.0
+        assert same_bits(_quartiles(values), np.percentile(values, [25, 50, 75]))

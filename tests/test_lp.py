@@ -9,18 +9,19 @@ from hypothesis import strategies as st
 from ioshock import (
     Constraints,
     LinearProgram,
-    build_max_consumption_lp,
+    SweepSpec,
     build_max_output_lp,
     coefficients,
     make_constraints,
     optimal_allocation,
     remove_links,
     solve,
+    sweep_density,
 )
 from ioshock.errors import DimensionMismatch, SolverFailure
 from ioshock.lp import _BlockBasis
 
-from conftest import random_economy, random_scenario, sized_economy
+from conftest import productive_economy, random_economy, random_scenario, sized_economy
 
 
 def enumerate_vertices(lp, tol=1e-9):
@@ -76,10 +77,12 @@ class TestBuilders:
         npt.assert_allclose(lp.c, [1.0, 5.0 / 3.0, 5.0 / 4.0])
 
     def test_max_consumption_pair2(self, pair2_op, pair2_constraints):
-        lp = build_max_consumption_lp(pair2_op, pair2_constraints)
-        npt.assert_allclose(lp.c, [0.7, 0.75])
-        npt.assert_array_equal(lp.ub, pair2_constraints.x_max)
-        npt.assert_array_equal(lp.row_ub, pair2_constraints.f_max)
+        # the output program's polytope with unit weights on f
+        lp = build_max_output_lp(pair2_op, pair2_constraints, "consumption")
+        output = build_max_output_lp(pair2_op, pair2_constraints)
+        npt.assert_array_equal(lp.c, np.ones(2))
+        for name in ("lb", "ub", "G", "row_lb", "row_ub"):
+            npt.assert_array_equal(getattr(lp, name), getattr(output, name))
 
     def test_max_consumption_no_flows(self):
         from ioshock import build_economy
@@ -87,13 +90,16 @@ class TestBuilders:
         e = build_economy(np.zeros((3, 3)), [1.0, 2.0, 3.0])
         op = coefficients(e)
         c = Constraints(np.array(e.x), np.array(e.f))
-        lp = build_max_consumption_lp(op, c)
+        lp = build_max_output_lp(op, c, "consumption")
         npt.assert_allclose(lp.c, np.ones(3))
         npt.assert_array_equal(lp.G, np.eye(3))
 
     def test_max_consumption_chain3(self, chain3_op, chain3_constraints):
-        lp = build_max_consumption_lp(chain3_op, chain3_constraints)
-        npt.assert_allclose(lp.c, [1.0, 1.0 / 3.0, 3.0 / 4.0])
+        lp = build_max_output_lp(chain3_op, chain3_constraints, "consumption")
+        npt.assert_array_equal(lp.c, np.ones(3))
+        npt.assert_array_equal(lp.G, chain3_op.L)
+        npt.assert_array_equal(lp.ub, chain3_constraints.f_max)
+        npt.assert_array_equal(lp.row_ub, chain3_constraints.x_max)
 
     def test_dimension_mismatch(self, pair2_op):
         with pytest.raises(DimensionMismatch):
@@ -129,8 +135,8 @@ class TestSolve:
             e = random_economy(rng, n=int(rng.integers(2, 4)))
             op = coefficients(e)
             c = make_constraints(e, random_scenario(rng, e.n))
-            for build in (build_max_output_lp, build_max_consumption_lp):
-                lp = build(op, c)
+            for objective in ("output", "consumption"):
+                lp = build_max_output_lp(op, c, objective)
                 sol = solve(lp)
                 assert sol.status == "optimal"
                 assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-6)
@@ -195,6 +201,68 @@ class TestSolve:
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.95, rel=1e-12)
         npt.assert_allclose(sol.y, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0], atol=1e-12)
+
+    def test_exhausted_pivot_budget_is_solver_failure(self, pair2_op,
+                                                      pair2_constraints):
+        lp = build_max_output_lp(pair2_op, pair2_constraints)
+        assert solve(lp).iterations > 1
+        with pytest.raises(SolverFailure, match="no optimum in 1 pivots"):
+            solve(lp, max_iter=1)
+
+    def test_infeasible_start_is_solver_failure(self):
+        # the row asks for 1 <= y <= 2, which y = 0 breaks
+        lp = LinearProgram(c=np.ones(1), lb=np.zeros(1), ub=np.ones(1),
+                           G=np.ones((1, 1)), row_lb=np.ones(1),
+                           row_ub=np.full(1, 2.0))
+        with pytest.raises(SolverFailure, match="violates a row bound"):
+            solve(lp)
+
+
+def reference_consumption_lp(op, c):
+    """The consumption program as first posed, on a polytope of its own:
+    the variable is output x within its ceilings, and the rows keep
+    consumption (I - A) x within its ceilings."""
+    n = op.n
+    ImA = np.eye(n) - op.A
+    return LinearProgram(c=ImA.sum(axis=0), lb=np.zeros(n), ub=np.array(c.x_max),
+                         G=ImA, row_lb=np.zeros(n), row_ub=np.array(c.f_max))
+
+
+class TestConsumptionObjective:
+    """Consumption on the output program's polytope against the former
+    (I - A) program: x = L f maps one feasible set onto the other."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from([0.3, 0.8]))
+    def test_optimum_matches_reference_program(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        e = productive_economy(rng, n, density)
+        op = coefficients(e)
+        c = make_constraints(e, random_scenario(rng, n))
+        a = optimal_allocation(e, c, "consumption", op)
+        assert a.f.sum() == pytest.approx(
+            enumerate_vertices(reference_consumption_lp(op, c)), rel=1e-9, abs=1e-9)
+        # and its point is one of the reference program's
+        tol = 1e-9 * max(1.0, float(e.x.max()))
+        assert np.all(a.x >= -tol) and np.all(a.x <= c.x_max + tol)
+        f = (np.eye(n) - op.A) @ a.x
+        assert np.all(f >= -tol) and np.all(f <= c.f_max + tol)
+
+    def test_thinned_economies_solve(self):
+        # Thinned to density 0.1, the benchmark's seed-0 economy left the
+        # former program at a point outside its row bounds (SolverFailure).
+        e = sized_economy(0, 56, 0.8)
+        shocks = random_scenario(np.random.default_rng([0, 1]), 56, 0.8, 0.5)
+        spec = SweepSpec(methods=("lp_output", "lp_consumption"),
+                         grid=(0.5, 0.4, 0.3, 0.2, 0.1), repetitions=2)
+        records = sweep_density(e, shocks, spec)
+        assert len(records) == 20
+        assert [(r.density_target, r.replicate, r.error) for r in records if r.error] == []
+        for out, cons in zip(records[::2], records[1::2]):
+            assert (out.method, cons.method) == ("lp_output", "lp_consumption")
+            # each program is best at its own objective
+            assert cons.total_consumption >= out.total_consumption * (1 - 1e-12)
+            assert out.total_output >= cons.total_output * (1 - 1e-12)
 
 
 def basis_case(m, n, k, seed):
@@ -261,15 +329,15 @@ def thinned(e, target, seed):
 # the objective may move only in its last bits.
 PINNED = [
     (0, 56, 0.8, None, 0.0, "output", 56, 383.9680408274691),
-    (0, 56, 0.8, None, 0.0, "consumption", 111, 219.8902044806617),
+    (0, 56, 0.8, None, 0.0, "consumption", 56, 219.8902044806617),
     (0, 56, 0.8, None, 0.25, "output", 59, 378.719454617614),
-    (0, 56, 0.8, None, 0.25, "consumption", 118, 216.47194552459925),
+    (0, 56, 0.8, None, 0.25, "consumption", 63, 216.47194552459925),
     (0, 56, 0.8, None, 0.5, "output", 68, 333.44236824922916),
-    (0, 56, 0.8, None, 0.5, "consumption", 116, 194.2138416532887),
+    (0, 56, 0.8, None, 0.5, "consumption", 68, 194.2138416532887),
     (0, 56, 0.8, None, 0.75, "output", 71, 270.3550332765842),
-    (0, 56, 0.8, None, 0.75, "consumption", 110, 161.852318731715),
+    (0, 56, 0.8, None, 0.75, "consumption", 59, 161.852318731715),
     (0, 56, 0.8, None, 1.0, "output", 57, 185.88676544406127),
-    (0, 56, 0.8, None, 1.0, "consumption", 109, 111.76940138990646),
+    (0, 56, 0.8, None, 1.0, "consumption", 55, 111.76940138990646),
     (0, 56, 0.8, 0.1, 1.0, "output", 62, 200.9961557844398),
     (1, 120, 0.3, None, 0.5, "output", 143, 920.2328565199289),
     # 181 of these 295 pivots are bound flips that keep the basis
@@ -289,9 +357,7 @@ class TestPinnedPivots:
         # the shocks of the benchmark's inputs
         shocks = random_scenario(np.random.default_rng([seed, 1]), n, 0.8, 0.5)
         c = make_constraints(e, shocks.with_alphas(alpha, 1.0))
-        build = {"output": build_max_output_lp,
-                 "consumption": build_max_consumption_lp}[program]
-        sol = solve(build(coefficients(e), c))
+        sol = solve(build_max_output_lp(coefficients(e), c, program))
         assert sol.status == "optimal"
         assert sol.iterations == pivots
         assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0)
