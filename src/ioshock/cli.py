@@ -3,7 +3,8 @@
 Subcommands: ``validate`` (parse and report invariants), ``shock`` (emit
 constraint ceilings), ``run`` (all methods on one scenario),
 ``sweep-scale`` and ``sweep-density``. Exit status is 0 on success, 1 on
-a validation failure (bad input files), 2 on a computation error.
+a validation failure (bad input files or flag values, or an output
+directory that cannot be written), 2 on a computation error.
 """
 
 from __future__ import annotations
@@ -192,20 +193,18 @@ def _load(args, need_shocks=True):
     return economy, scenario
 
 
-def _provenance(args, extra=None):
-    prov = {
+def _provenance(args, extra):
+    """The provenance line of an evaluation command's result tables."""
+    return {
         "tool": f"ioshock {__version__}",
         "generator": GENERATOR_NAME,
         "economy_sha256": file_digest(args.economy),
-        "seed": getattr(args, "seed", None),
-        "tol": getattr(args, "tol", None),
-        "max_iter": getattr(args, "max_iter", None),
+        "shocks_sha256": file_digest(args.shocks),
+        "seed": args.seed,
+        "tol": args.tol,
+        "max_iter": args.max_iter,
+        **extra,
     }
-    if getattr(args, "shocks", None):
-        prov["shocks_sha256"] = file_digest(args.shocks)
-    if extra:
-        prov.update(extra)
-    return prov
 
 
 def _cmd_validate(args):
@@ -230,10 +229,19 @@ def _cmd_validate(args):
     return 0
 
 
+def _unit_grid(text, flag):
+    """_grid_values, with every value required to lie in [0, 1]."""
+    values = _grid_values(text, flag)
+    for v in values:
+        if not 0 <= v <= 1:
+            raise ParseError(f"{flag} {text!r}: value {v} outside [0, 1]")
+    return values
+
+
 def _alphas(args):
     """The (alpha_supply, alpha_demand) grids of the command line."""
-    return (_grid_values(args.alpha_supply, "--alpha-supply"),
-            _grid_values(args.alpha_demand, "--alpha-demand"))
+    return (_unit_grid(args.alpha_supply, "--alpha-supply"),
+            _unit_grid(args.alpha_demand, "--alpha-demand"))
 
 
 def _scenario_at(scenario, args):
@@ -253,22 +261,38 @@ def _cmd_shock(args):
     return 0
 
 
+def _spec(args, grid, **extra):
+    """The SweepSpec of an evaluation command over ``grid``."""
+    return SweepSpec(methods=_methods(args.methods), grid=grid,
+                     repetitions=args.reps, random_samples=args.samples,
+                     master_seed=args.seed,
+                     options=RationingOptions(tol=args.tol, max_iter=args.max_iter),
+                     **extra)
+
+
+def _write(args, economy, records, constraints=None, allocations=(), **extra):
+    """Summarize the records, write the result tables into --out and
+    print their paths; ``extra`` goes into the provenance line."""
+    summaries = summarize(records)
+    try:
+        files = write_results(args.out, economy, constraints, allocations,
+                              records, summaries, _provenance(args, extra))
+    except OSError as exc:
+        raise ParseError(f"{args.out}: {exc.strerror or exc}") from None
+    print("\n".join(files))
+    return 0
+
+
 def _cmd_run(args):
     economy, scenario = _load(args)
     scenario = _scenario_at(scenario, args)
-    spec = SweepSpec(methods=_methods(args.methods),
-                     grid=((scenario.alpha_supply, scenario.alpha_demand),),
-                     random_samples=args.samples, master_seed=args.seed,
-                     options=RationingOptions(tol=args.tol, max_iter=args.max_iter))
+    a_s, a_d = scenario.alpha_supply, scenario.alpha_demand
+    spec = _spec(args, ((a_s, a_d),))
     op = coefficients(economy)
     c = make_constraints(economy, scenario)
-    records, allocations = evaluate_point(economy, op, c, spec, 0, 0,
-                                          scenario.alpha_supply,
-                                          scenario.alpha_demand)
+    records, allocations = evaluate_point(economy, op, c, spec, 0, 0, a_s, a_d)
     for rep in range(1, args.reps):
-        records += evaluate_point(economy, op, c, spec, 0, rep,
-                                  scenario.alpha_supply,
-                                  scenario.alpha_demand)[0]
+        records += evaluate_point(economy, op, c, spec, 0, rep, a_s, a_d)[0]
     for r in records:
         # allocations.csv holds replicate 0, sample 0, so warn about that one
         first = r.replicate == 0 and r.sample == 0
@@ -276,56 +300,30 @@ def _cmd_run(args):
             print(f"warning: {r.method} failed: {r.error}", file=sys.stderr)
         elif first and not r.converged:
             print(f"warning: {r.method} did not converge", file=sys.stderr)
-    files = write_results(args.out, economy, c, allocations, records,
-                          summarize(records), _provenance(args))
-    print("\n".join(files))
-    return 0
+    return _write(args, economy, records, c, allocations)
 
 
 def _cmd_sweep_scale(args):
     economy, scenario = _load(args)
     a_s, a_d = _alphas(args)
-    spec = SweepSpec(
-        methods=_methods(args.methods),
-        grid=tuple((s, d) for s in a_s for d in a_d),
-        repetitions=args.reps, random_samples=args.samples,
-        master_seed=args.seed,
-        options=RationingOptions(tol=args.tol, max_iter=args.max_iter),
-    )
-    records = sweep_scale(economy, scenario, spec)
-    c = make_constraints(economy, scenario)
-    files = write_results(args.out, economy, c, [], records,
-                          summarize(records), _provenance(args))
-    print("\n".join(files))
-    return 0
+    spec = _spec(args, tuple((s, d) for s in a_s for d in a_d))
+    return _write(args, economy, sweep_scale(economy, scenario, spec))
 
 
 def _cmd_sweep_density(args):
     economy, scenario = _load(args)
     scenario = _scenario_at(scenario, args)
-    densities = _grid_values(args.densities, "--densities")
+    densities = _unit_grid(args.densities, "--densities")
     highest = max(densities)
     if highest > economy.density + 1e-12:
         # thinning removes links; it cannot reach a denser network
         raise ParseError(f"--densities {args.densities!r}: target {highest} "
                          f"above the economy's density {economy.density}")
-    spec = SweepSpec(
-        methods=_methods(args.methods),
-        grid=tuple(densities),
-        removal_mode=args.removal_mode,
-        repetitions=args.reps, random_samples=args.samples,
-        master_seed=args.seed,
-        options=RationingOptions(tol=args.tol, max_iter=args.max_iter),
-    )
+    spec = _spec(args, tuple(densities), removal_mode=args.removal_mode)
     records = sweep_density(economy, scenario, spec,
                             alpha_supply=scenario.alpha_supply,
                             alpha_demand=scenario.alpha_demand)
-    c = make_constraints(economy, scenario)
-    files = write_results(args.out, economy, c, [], records,
-                          summarize(records),
-                          _provenance(args, {"removal_mode": args.removal_mode}))
-    print("\n".join(files))
-    return 0
+    return _write(args, economy, records, removal_mode=args.removal_mode)
 
 
 _COMMANDS = {

@@ -73,25 +73,33 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRecord:
+    """One row of sweep.csv, whose columns are these fields in order.
+
+    The fields after ``sample`` default to what a failed evaluation
+    writes, so an error record names only its point and its error.
+    """
+
     alpha_supply: float
     alpha_demand: float
     density_target: float  # nan for scale sweeps
     method: str
     replicate: int
     sample: int
-    total_output: float
-    total_consumption: float
-    norm_output: float
-    norm_consumption: float
-    feasible: bool
-    converged: bool
-    avg_multiplier: float
-    intermediate_share: float
+    total_output: float = math.nan
+    total_consumption: float = math.nan
+    norm_output: float = math.nan
+    norm_consumption: float = math.nan
+    feasible: bool = False
+    converged: bool = False
+    avg_multiplier: float = math.nan
+    intermediate_share: float = math.nan
     error: str = ""
 
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """One row of summary.csv, whose columns are these fields in order."""
+
     alpha_supply: float
     alpha_demand: float
     density_target: float
@@ -155,29 +163,11 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
     records = []
     allocations = []
 
-    def record(method, sample, allocation, converged, error=""):
-        if allocation is None:
-            out = cons = float("nan")
-        else:
-            out = float(allocation.x.sum())
-            cons = float(allocation.f.sum())
+    def record(method, sample, **values):
         records.append(SweepRecord(
-            alpha_supply=alpha_supply,
-            alpha_demand=alpha_demand,
-            density_target=density_target,
-            method=method,
-            replicate=replicate,
-            sample=sample,
-            total_output=out,
-            total_consumption=cons,
-            norm_output=out / base_x if base_x > 0 else float("nan"),
-            norm_consumption=cons / base_f if base_f > 0 else float("nan"),
-            feasible=bool(allocation.feasible) if allocation is not None else False,
-            converged=converged,
-            avg_multiplier=m.avg_multiplier,
-            intermediate_share=m.intermediate_share,
-            error=error,
-        ))
+            alpha_supply, alpha_demand, density_target, method, replicate,
+            sample, avg_multiplier=m.avg_multiplier,
+            intermediate_share=m.intermediate_share, **values))
 
     for method in spec.methods:
         samples = spec.random_samples if method == "random" else 1
@@ -190,9 +180,14 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
                 allocation, converged = run_method(method, e, op, c,
                                                    spec.options, seed)
             except IoShockError as exc:
-                record(method, k, None, False, error=str(exc))
+                record(method, k, error=str(exc))
                 continue
-            record(method, k, allocation, converged)
+            out = float(allocation.x.sum())
+            cons = float(allocation.f.sum())
+            record(method, k, total_output=out, total_consumption=cons,
+                   norm_output=out / base_x if base_x > 0 else math.nan,
+                   norm_consumption=cons / base_f if base_f > 0 else math.nan,
+                   feasible=bool(allocation.feasible), converged=converged)
             if k == 0:
                 allocations.append(allocation)
     return records, allocations
@@ -248,15 +243,9 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec,
             try:
                 op2 = coefficients(e2)
             except IoShockError as exc:
-                records += [SweepRecord(
-                    alpha_supply=alpha_supply, alpha_demand=alpha_demand,
-                    density_target=target, method=method, replicate=rep, sample=0,
-                    total_output=float("nan"), total_consumption=float("nan"),
-                    norm_output=float("nan"), norm_consumption=float("nan"),
-                    feasible=False, converged=False,
-                    avg_multiplier=float("nan"), intermediate_share=float("nan"),
-                    error=str(exc),
-                ) for method in spec.methods]
+                records += [SweepRecord(alpha_supply, alpha_demand, target,
+                                        method, rep, 0, error=str(exc))
+                            for method in spec.methods]
                 continue
             c2 = make_constraints(e2, s.with_alphas(alpha_supply, alpha_demand))
             records += evaluate_point(e2, op2, c2, spec, g, rep, alpha_supply,

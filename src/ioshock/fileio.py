@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -30,6 +31,7 @@ from .errors import (
     ParseError,
     UnknownIndustry,
 )
+from .experiments import SweepRecord, SweepSummary
 from .shocks import ShockScenario, supply_shock
 
 ECONOMY_GROSS_OUTPUT_RTOL = 1e-6
@@ -39,15 +41,8 @@ DIRECT_SHOCK_HEADER = ["industry", "supply_shock", "demand_shock"]
 
 ALLOCATIONS_HEADER = ["industry", "method", "x", "f", "x_max", "f_max",
                       "feasible", "iterations"]
-SWEEP_HEADER = ["alpha_supply", "alpha_demand", "density_target", "method",
-                "replicate", "sample", "total_output", "total_consumption",
-                "norm_output", "norm_consumption", "feasible", "converged",
-                "avg_multiplier", "intermediate_share", "error"]
-SUMMARY_HEADER = ["alpha_supply", "alpha_demand", "density_target", "method",
-                  "count", "failures",
-                  "mean_output", "q25_output", "q50_output", "q75_output",
-                  "mean_consumption", "q25_consumption", "q50_consumption",
-                  "q75_consumption"]
+SWEEP_HEADER = [f.name for f in dataclasses.fields(SweepRecord)]
+SUMMARY_HEADER = [f.name for f in dataclasses.fields(SweepSummary)]
 
 
 def file_digest(path) -> str:
@@ -271,7 +266,11 @@ def write_economy_csv(path, e: Economy, provenance=None):
 
 def write_results(out_dir, economy, constraints, allocations,
                   sweep_records=(), summaries=(), provenance=None):
-    """Write allocations.csv, sweep.csv and summary.csv into out_dir."""
+    """Write allocations.csv, sweep.csv and summary.csv into out_dir.
+
+    ``constraints`` supplies the ceilings of the allocation rows only, so
+    it may be None when there are no allocations.
+    """
     os.makedirs(out_dir, exist_ok=True)
     provenance = provenance or {}
     alloc_rows = []
@@ -285,17 +284,8 @@ def write_results(out_dir, economy, constraints, allocations,
     _write_csv(os.path.join(out_dir, "allocations.csv"), provenance,
                ALLOCATIONS_HEADER, alloc_rows)
     _write_csv(os.path.join(out_dir, "sweep.csv"), provenance, SWEEP_HEADER,
-               [[r.alpha_supply, r.alpha_demand, r.density_target, r.method,
-                 r.replicate, r.sample, r.total_output, r.total_consumption,
-                 r.norm_output, r.norm_consumption, r.feasible, r.converged,
-                 r.avg_multiplier, r.intermediate_share, r.error]
-                for r in sweep_records])
+               [[getattr(r, col) for col in SWEEP_HEADER] for r in sweep_records])
     _write_csv(os.path.join(out_dir, "summary.csv"), provenance, SUMMARY_HEADER,
-               [[s.alpha_supply, s.alpha_demand, s.density_target, s.method,
-                 s.count, s.failures,
-                 s.mean_output, s.q25_output, s.q50_output, s.q75_output,
-                 s.mean_consumption, s.q25_consumption, s.q50_consumption,
-                 s.q75_consumption]
-                for s in summaries])
+               [[getattr(s, col) for col in SUMMARY_HEADER] for s in summaries])
     return [os.path.join(out_dir, name)
             for name in ("allocations.csv", "sweep.csv", "summary.csv")]

@@ -261,16 +261,12 @@ def _assert_solution(lp: LinearProgram, y: np.ndarray, ftol: float):
 
 
 def optimal_allocation(e: Economy, c: Constraints, objective: str,
-                       op: LeontiefOperator | None = None) -> Allocation:
+                       op: LeontiefOperator) -> Allocation:
     """Solve the best-case program for one objective and assemble the
     full (x, f) pair.
 
     ``objective`` is "output" or "consumption"; the method tag records it.
     """
-    if op is None:
-        from .economy import coefficients
-
-        op = coefficients(e)
     sol = solve(build_max_output_lp(op, c, objective))
     f = np.maximum(sol.y, 0.0)
     x = op.L @ f

@@ -110,16 +110,12 @@ def allocation_is_feasible(x, f, op: LeontiefOperator, c: Constraints,
 
 
 def direct_allocation(e: Economy, c: Constraints,
-                      op: LeontiefOperator | None = None) -> Allocation:
+                      op: LeontiefOperator) -> Allocation:
     """The ceilings themselves as an allocation, ignoring network effects.
 
     Generally infeasible because x_max differs from L f_max; the feasible
     flag is computed honestly against the production recipe.
     """
-    if op is None:
-        from .economy import coefficients
-
-        op = coefficients(e)
     return Allocation(
         x=np.array(c.x_max),
         f=np.array(c.f_max),

@@ -90,6 +90,10 @@ class TestNumericFlags:
         ("sweep-scale", "--alpha-supply", "0:1:1e-9"),
         ("sweep-density", "--densities", "0.1:0.5:-0.1"),
         ("sweep-density", "--densities", "0.5,0.3,0.1"),
+        ("sweep-density", "--densities", "-0.1"),
+        ("sweep-scale", "--alpha-supply", "0:2:1"),
+        ("sweep-scale", "--alpha-supply", "-0.5"),
+        ("run", "--alpha-supply", "2"),
         ("sweep-scale", "--samples", "0"),
         ("run", "--samples", "0"),
         ("sweep-density", "--reps", "0"),
@@ -107,6 +111,18 @@ class TestNumericFlags:
         assert run_command(argv + [flag, value]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-scale", "sweep-density"])
+def test_unusable_out_exits_one(tmp_path, files, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory", encoding="utf-8")
+    argv = [command, "--economy", files["economy"], "--shocks",
+            files["shocks"], "--out", str(afile), "--methods", "direct"]
+    if command == "sweep-density":
+        argv += ["--densities", "0.2"]
+    assert run_command(argv) == 1
+    assert capsys.readouterr().err == f"error: {afile}: File exists\n"
 
 
 class TestValidate:

@@ -509,6 +509,24 @@ class TestWriteResults:
             assert all(len(row) == width for row in body)
             assert len(body) > 1
 
+    def test_column_order(self, tmp_path, chain3, chain3_op, chain3_scenario):
+        # benchmarks and users read these columns; pin names and order
+        paths = self.files(tmp_path, chain3, chain3_op, chain3_scenario)
+        headers = [open(p, encoding="utf-8").read().splitlines()[1].split(",")
+                   for p in paths]
+        assert headers == [
+            ["industry", "method", "x", "f", "x_max", "f_max", "feasible",
+             "iterations"],
+            ["alpha_supply", "alpha_demand", "density_target", "method",
+             "replicate", "sample", "total_output", "total_consumption",
+             "norm_output", "norm_consumption", "feasible", "converged",
+             "avg_multiplier", "intermediate_share", "error"],
+            ["alpha_supply", "alpha_demand", "density_target", "method",
+             "count", "failures", "mean_output", "q25_output", "q50_output",
+             "q75_output", "mean_consumption", "q25_consumption",
+             "q50_consumption", "q75_consumption"],
+        ]
+
     def test_allocations_content(self, tmp_path, chain3, chain3_op,
                                  chain3_scenario):
         paths = self.files(tmp_path, chain3, chain3_op, chain3_scenario)
