@@ -46,16 +46,16 @@ def main():
     print("output ceilings     x_max =", c.x_max)
     print("consumption ceilings f_max =", c.f_max, "\n")
 
-    best = optimal_allocation(e, c, "output", op)
+    best = optimal_allocation(op, c, "output")
     show("lp best-case output", best.x, best.f)
-    cons = optimal_allocation(e, c, "consumption", op)
+    cons = optimal_allocation(op, c, "consumption")
     show("lp best consumption", cons.x, cons.f)
 
     for name, rule in [("proportional", ration_proportional),
                        ("mixed prop./priority", ration_mixed),
                        ("largest first", ration_largest_first)]:
         res = rule(e, op, c)
-        show(name, res.allocation.x, res.allocation.f,
+        show(name, res.x, res.f,
              f"({res.iterations} sweeps)")
 
     spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),),

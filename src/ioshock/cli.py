@@ -290,9 +290,8 @@ def _cmd_run(args):
     spec = _spec(args, ((a_s, a_d),))
     op = coefficients(economy)
     c = make_constraints(economy, scenario)
-    records, allocations = evaluate_point(economy, op, c, spec, 0, 0, a_s, a_d)
-    for rep in range(1, args.reps):
-        records += evaluate_point(economy, op, c, spec, 0, rep, a_s, a_d)[0]
+    records, allocations = evaluate_point(economy, op, c, spec, 0,
+                                          range(spec.repetitions), a_s, a_d)
     for r in records:
         # allocations.csv holds replicate 0, sample 0, so warn about that one
         first = r.replicate == 0 and r.sample == 0
@@ -320,9 +319,7 @@ def _cmd_sweep_density(args):
         raise ParseError(f"--densities {args.densities!r}: target {highest} "
                          f"above the economy's density {economy.density}")
     spec = _spec(args, tuple(densities), removal_mode=args.removal_mode)
-    records = sweep_density(economy, scenario, spec,
-                            alpha_supply=scenario.alpha_supply,
-                            alpha_demand=scenario.alpha_demand)
+    records = sweep_density(economy, scenario, spec)
     return _write(args, economy, records, removal_mode=args.removal_mode)
 
 

@@ -127,35 +127,34 @@ def _removal_seed(master, grid_index, replicate):
 
 
 def run_method(method, e, op, c, opts=RationingOptions(), seed=None):
-    """Evaluate one propagation method; returns (Allocation, converged)."""
+    """Evaluate one propagation method into an Allocation."""
     if method == "direct":
-        return direct_allocation(e, c, op), True
+        return direct_allocation(op, c)
     if method == "lp_output":
-        return optimal_allocation(e, c, "output", op), True
+        return optimal_allocation(op, c, "output")
     if method == "lp_consumption":
-        return optimal_allocation(e, c, "consumption", op), True
+        return optimal_allocation(op, c, "consumption")
     if method == "proportional":
-        res = ration_proportional(e, op, c, opts)
-    elif method == "mixed":
-        res = ration_mixed(e, op, c, opts)
-    elif method == "largest_first":
-        res = ration_largest_first(e, op, c, opts)
-    elif method == "random":
-        res = ration_random(e, op, c, seed, opts)
-    elif method == "meem":
+        return ration_proportional(e, op, c, opts)
+    if method == "mixed":
+        return ration_mixed(e, op, c, opts)
+    if method == "largest_first":
+        return ration_largest_first(e, op, c, opts)
+    if method == "random":
+        return ration_random(e, op, c, seed, opts)
+    if method == "meem":
         sol = solve_meem(e, op, c, classify(e, c))
-        return Allocation(sol.x, sol.f, "meem", sol.feasible, 0), True
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return res.allocation, res.converged
+        return Allocation(sol.x, sol.f, "meem", sol.feasible)
+    raise ValueError(f"unknown method {method!r}")
 
 
-def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
+def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicates,
                    alpha_supply, alpha_demand, density_target=float("nan")):
-    """Evaluate every method once per sample at one (grid point, replicate).
+    """Evaluate every method once per sample at one grid point, for each
+    replicate in ``replicates`` in turn.
 
     Returns the records, one per evaluation, and the allocations of each
-    method's sample 0 that did not raise.
+    method's sample 0 in the first replicate that did not raise.
     """
     m = metrics(e, op)
     base_x = m.total_output
@@ -163,33 +162,34 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicate,
     records = []
     allocations = []
 
-    def record(method, sample, **values):
+    def record(method, replicate, sample, **values):
         records.append(SweepRecord(
             alpha_supply, alpha_demand, density_target, method, replicate,
             sample, avg_multiplier=m.avg_multiplier,
             intermediate_share=m.intermediate_share, **values))
 
-    for method in spec.methods:
-        samples = spec.random_samples if method == "random" else 1
-        for k in range(samples):
-            # only the random rule draws numbers; building a SeedSequence
-            # for the others would import numpy.random for nothing
-            seed = (_sample_seed(spec.master_seed, grid_index, replicate, k)
-                    if method == "random" else None)
-            try:
-                allocation, converged = run_method(method, e, op, c,
-                                                   spec.options, seed)
-            except IoShockError as exc:
-                record(method, k, error=str(exc))
-                continue
-            out = float(allocation.x.sum())
-            cons = float(allocation.f.sum())
-            record(method, k, total_output=out, total_consumption=cons,
-                   norm_output=out / base_x if base_x > 0 else math.nan,
-                   norm_consumption=cons / base_f if base_f > 0 else math.nan,
-                   feasible=bool(allocation.feasible), converged=converged)
-            if k == 0:
-                allocations.append(allocation)
+    for i, rep in enumerate(replicates):
+        for method in spec.methods:
+            samples = spec.random_samples if method == "random" else 1
+            for k in range(samples):
+                # only the random rule draws numbers; building a SeedSequence
+                # for the others would import numpy.random for nothing
+                seed = (_sample_seed(spec.master_seed, grid_index, rep, k)
+                        if method == "random" else None)
+                try:
+                    allocation = run_method(method, e, op, c, spec.options, seed)
+                except IoShockError as exc:
+                    record(method, rep, k, error=str(exc))
+                    continue
+                out = float(allocation.x.sum())
+                cons = float(allocation.f.sum())
+                record(method, rep, k, total_output=out, total_consumption=cons,
+                       norm_output=out / base_x if base_x > 0 else math.nan,
+                       norm_consumption=cons / base_f if base_f > 0 else math.nan,
+                       feasible=bool(allocation.feasible),
+                       converged=allocation.converged)
+                if i == 0 and k == 0:
+                    allocations.append(allocation)
     return records, allocations
 
 
@@ -202,14 +202,14 @@ def sweep_scale(e: Economy, s: ShockScenario, spec: SweepSpec):
     records = []
     for g, (a_s, a_d) in enumerate(spec.grid):
         c = make_constraints(e, s.with_alphas(a_s, a_d))
-        for rep in range(spec.repetitions):
-            records += evaluate_point(e, op, c, spec, g, rep, a_s, a_d)[0]
+        records += evaluate_point(e, op, c, spec, g, range(spec.repetitions),
+                                  a_s, a_d)[0]
     return records
 
 
-def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec,
-                  alpha_supply: float = 1.0, alpha_demand: float = 1.0):
-    """Thin the network to each target density, rebalance, re-shock, evaluate.
+def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):
+    """Thin the network to each target density, rebalance, re-shock with
+    ``s`` at its own alphas, evaluate.
 
     Removal order per spec.removal_mode: uniformly random links per replicate
     seed, or the deterministic smallest-first order (one replicate).
@@ -243,13 +243,14 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec,
             try:
                 op2 = coefficients(e2)
             except IoShockError as exc:
-                records += [SweepRecord(alpha_supply, alpha_demand, target,
+                records += [SweepRecord(s.alpha_supply, s.alpha_demand, target,
                                         method, rep, 0, error=str(exc))
                             for method in spec.methods]
                 continue
-            c2 = make_constraints(e2, s.with_alphas(alpha_supply, alpha_demand))
-            records += evaluate_point(e2, op2, c2, spec, g, rep, alpha_supply,
-                                      alpha_demand, density_target=target)[0]
+            c2 = make_constraints(e2, s)
+            # each replicate thins its own economy, so it is evaluated alone
+            records += evaluate_point(e2, op2, c2, spec, g, (rep,), s.alpha_supply,
+                                      s.alpha_demand, density_target=target)[0]
     return records
 
 

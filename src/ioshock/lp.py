@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .economy import Economy, LeontiefOperator
+from .economy import LeontiefOperator
 from .errors import DimensionMismatch, SolverFailure
 from .shocks import Allocation, Constraints
 
@@ -260,8 +260,8 @@ def _assert_solution(lp: LinearProgram, y: np.ndarray, ftol: float):
         raise SolverFailure("simplex terminated at a point violating its bounds")
 
 
-def optimal_allocation(e: Economy, c: Constraints, objective: str,
-                       op: LeontiefOperator) -> Allocation:
+def optimal_allocation(op: LeontiefOperator, c: Constraints,
+                       objective: str) -> Allocation:
     """Solve the best-case program for one objective and assemble the
     full (x, f) pair.
 

@@ -46,16 +46,6 @@ class RationingOptions:
     max_iter: int = 10**6
 
 
-@dataclass(frozen=True)
-class RationingResult:
-    allocation: Allocation
-    converged: bool
-    iterations: int
-    #: final max relative residual: demand change between sweeps and
-    #: shortfall of output behind demand
-    residual: float
-
-
 def _proportional_ratios(d, avail):
     with np.errstate(divide="ignore"):
         return np.where(d > 0, avail / np.where(d > 0, d, 1.0), np.inf)
@@ -126,21 +116,19 @@ def _iterate(e, op, c, opts, bottleneck, method):
         residual = max(moved, gap)
         d = d_next
         if residual <= opts.tol:
-            allocation = Allocation(
-                x=x, f=f, method=method,
-                feasible=allocation_is_feasible(x, f, op, c, tol=10 * opts.tol),
-                iterations=t,
-            )
-            return RationingResult(allocation, True, t, residual)
+            break
         if moved <= opts.tol and gap > gap_prev * (1.0 - 1e-3):
             # demand is stationary and x is a function of d alone, so a
             # non-shrinking gap can never close: the rule has stalled at
             # an overcommitted state short of x = d
             break
         gap_prev = gap
-    allocation = Allocation(x=x, f=f, method=method, feasible=False,
-                            iterations=t)
-    return RationingResult(allocation, False, t, residual)
+    converged = residual <= opts.tol
+    return Allocation(
+        x=x, f=f, method=method,
+        feasible=converged and allocation_is_feasible(x, f, op, c, tol=10 * opts.tol),
+        iterations=t, converged=converged, residual=residual,
+    )
 
 
 def _check_dims(e, op, c):
@@ -149,7 +137,7 @@ def _check_dims(e, op, c):
 
 
 def ration_proportional(e: Economy, op: LeontiefOperator, c: Constraints,
-                        opts: RationingOptions = RationingOptions()) -> RationingResult:
+                        opts: RationingOptions = RationingOptions()) -> Allocation:
     """All customers, final consumers included, are rationed by the same share."""
     _check_dims(e, op, c)
     has_supplier = op.A > 0
@@ -161,7 +149,7 @@ def ration_proportional(e: Economy, op: LeontiefOperator, c: Constraints,
 
 
 def ration_mixed(e: Economy, op: LeontiefOperator, c: Constraints,
-                 opts: RationingOptions = RationingOptions()) -> RationingResult:
+                 opts: RationingOptions = RationingOptions()) -> Allocation:
     """Proportional among industries, with industries served before consumers."""
     _check_dims(e, op, c)
     has_supplier = op.A > 0
@@ -206,7 +194,7 @@ def random_rankings(op: LeontiefOperator, seed):
 
 
 def ration_largest_first(e: Economy, op: LeontiefOperator, c: Constraints,
-                         opts: RationingOptions = RationingOptions()) -> RationingResult:
+                         opts: RationingOptions = RationingOptions()) -> Allocation:
     """Serve larger intermediate customers first; final consumers last."""
     _check_dims(e, op, c)
     rankings = largest_first_rankings(op, op.L @ c.f_max)
@@ -214,7 +202,7 @@ def ration_largest_first(e: Economy, op: LeontiefOperator, c: Constraints,
 
 
 def ration_random(e: Economy, op: LeontiefOperator, c: Constraints, seed,
-                  opts: RationingOptions = RationingOptions()) -> RationingResult:
+                  opts: RationingOptions = RationingOptions()) -> Allocation:
     """Serve intermediate customers in a seeded random order, consumers last."""
     _check_dims(e, op, c)
     rankings = random_rankings(op, seed)

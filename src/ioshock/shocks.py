@@ -8,6 +8,7 @@ output and consumption ceilings which every propagation method consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +53,17 @@ class Constraints:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A candidate (x, f) pair with method provenance."""
+    """A candidate (x, f) pair with method provenance and how its method
+    ended: the iteration count, whether it converged, and the final
+    residual of an iterated method (NaN for the others)."""
 
     x: np.ndarray
     f: np.ndarray
     method: str
     feasible: bool
     iterations: int = 0
+    converged: bool = True
+    residual: float = math.nan
 
 
 def supply_shock(rli, essential):
@@ -109,8 +114,7 @@ def allocation_is_feasible(x, f, op: LeontiefOperator, c: Constraints,
     return bool(np.max(np.abs(x - total_demand(op, np.maximum(f, 0.0)))) <= slack)
 
 
-def direct_allocation(e: Economy, c: Constraints,
-                      op: LeontiefOperator) -> Allocation:
+def direct_allocation(op: LeontiefOperator, c: Constraints) -> Allocation:
     """The ceilings themselves as an allocation, ignoring network effects.
 
     Generally infeasible because x_max differs from L f_max; the feasible
@@ -121,5 +125,4 @@ def direct_allocation(e: Economy, c: Constraints,
         f=np.array(c.f_max),
         method="direct",
         feasible=allocation_is_feasible(c.x_max, c.f_max, op, c),
-        iterations=0,
     )

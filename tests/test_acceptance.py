@@ -61,8 +61,8 @@ def criterion(number, description):
 
 
 def evaluate(method, e, op, c, seed=0):
-    allocation, converged = run_method(method, e, op, c, seed=seed)
-    assert converged
+    allocation = run_method(method, e, op, c, seed=seed)
+    assert allocation.converged
     return allocation
 
 
@@ -88,15 +88,15 @@ def test_chain3_fixture_table(chain3, chain3_op, chain3_constraints):
     start = time.perf_counter()
     e, op, c = chain3, chain3_op, chain3_constraints
     res = ration_proportional(e, op, c)
-    npt.assert_allclose(res.allocation.x, [5.0, 3.0, 4.0], atol=1e-6)
-    npt.assert_allclose(res.allocation.f, [2.0, 3.0, 4.0], atol=1e-6)
+    npt.assert_allclose(res.x, [5.0, 3.0, 4.0], atol=1e-6)
+    npt.assert_allclose(res.f, [2.0, 3.0, 4.0], atol=1e-6)
     res = ration_mixed(e, op, c)
-    npt.assert_allclose(res.allocation.x, [5.0, 5.0, 20.0 / 3.0], atol=1e-6)
-    npt.assert_allclose(res.allocation.f, [0.0, 5.0, 20.0 / 3.0], atol=1e-6)
+    npt.assert_allclose(res.x, [5.0, 5.0, 20.0 / 3.0], atol=1e-6)
+    npt.assert_allclose(res.f, [0.0, 5.0, 20.0 / 3.0], atol=1e-6)
     res = ration_largest_first(e, op, c)
-    npt.assert_allclose(res.allocation.x, [5.0, 6.0, 4.0], atol=1e-6)
-    npt.assert_allclose(res.allocation.f, [0.0, 6.0, 4.0], atol=1e-6)
-    best = optimal_allocation(e, c, "output", op)
+    npt.assert_allclose(res.x, [5.0, 6.0, 4.0], atol=1e-6)
+    npt.assert_allclose(res.f, [0.0, 6.0, 4.0], atol=1e-6)
+    best = optimal_allocation(op, c, "output")
     assert best.x.sum() == pytest.approx(17.5, abs=1e-6)
     npt.assert_allclose(best.x, [5.0, 4.5, 8.0], atol=1e-6)
     sol = solve_meem(e, op, c, classify(e, c))
@@ -110,17 +110,17 @@ def test_pair2_fixture_table(pair2, pair2_op, pair2_constraints, pair2_scenario)
     from ioshock import summarize
 
     e, op, c = pair2, pair2_op, pair2_constraints
-    best = optimal_allocation(e, c, "output", op)
+    best = optimal_allocation(op, c, "output")
     npt.assert_allclose(best.f, [8.0, 1.3], atol=1e-6)
     npt.assert_allclose(best.x, [9.0, 4.0], atol=1e-6)
     res = ration_proportional(e, op, c)
-    npt.assert_allclose(res.allocation.x, [5.0, 4.0], atol=1e-6)
-    npt.assert_allclose(res.allocation.f, [4.0, 2.5], atol=1e-6)
+    npt.assert_allclose(res.x, [5.0, 4.0], atol=1e-6)
+    npt.assert_allclose(res.f, [4.0, 2.5], atol=1e-6)
     expect_x = np.array([330.0, 136.0]) / 37.0
     for res in (ration_mixed(e, op, c), ration_largest_first(e, op, c),
                 *(ration_random(e, op, c, seed) for seed in range(5))):
-        npt.assert_allclose(res.allocation.x, expect_x, atol=1e-6)
-        npt.assert_allclose(res.allocation.f, [8.0, 1.0], atol=1e-6)
+        npt.assert_allclose(res.x, expect_x, atol=1e-6)
+        npt.assert_allclose(res.f, [8.0, 1.0], atol=1e-6)
     same = make_constraints(e, pair2_scenario)
     npt.assert_array_equal(same.x_max, c.x_max)
     npt.assert_array_equal(same.f_max, c.f_max)
@@ -163,12 +163,11 @@ def test_dominance_and_feasibility():
         e = random_economy(rng)
         op = coefficients(e)
         c = make_constraints(e, random_scenario(rng, e.n))
-        best = optimal_allocation(e, c, "output", op).x.sum()
+        best = optimal_allocation(op, c, "output").x.sum()
         for method in RATIONING:
-            allocation, converged = run_method(method, e, op, c, seed=k)
-            if not converged:
+            a = run_method(method, e, op, c, seed=k)
+            if not a.converged:
                 continue
-            a = allocation
             assert a.feasible
             assert np.all(a.x >= -1e-9) and np.all(a.x <= c.x_max + 1e-9)
             assert np.all(a.f >= -1e-9) and np.all(a.f <= c.f_max + 1e-9)
@@ -248,10 +247,9 @@ def test_density_sweep_ends(chain3, chain3_scenario):
         assert d.total_consumption == p.total_consumption
 
     def empty_network_total(alpha):
-        records = sweep_density(chain3, chain3_scenario,
+        records = sweep_density(chain3, chain3_scenario.with_alphas(alpha, alpha),
                                 SweepSpec(grid=(0.0,),
-                                          removal_mode="smallest_first"),
-                                alpha_supply=alpha, alpha_demand=alpha)
+                                          removal_mode="smallest_first"))
         return {r.method: r.total_output for r in records}
 
     # with every link removed each industry produces min(x_max, f_max)
@@ -293,6 +291,6 @@ def test_national_tables():
     eps_s, eps_d = aggregate_shocks(economy, c)
     assert eps_s == pytest.approx(0.31, abs=0.005)
     assert eps_d == pytest.approx(0.09, abs=0.005)
-    best = optimal_allocation(economy, c, "output", op)
+    best = optimal_allocation(op, c, "output")
     norm = best.x.sum() / economy.x.sum()
     assert 0.61 <= norm <= 0.65

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ upstream,0,4,2,4
 parts,0,0,0,6
 goods,0,0,0,8
 """
+
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 SHOCKS = """\
 industry,supply_shock,demand_shock
@@ -330,10 +333,10 @@ class TestRun:
     def test_failing_method_is_an_error_record(self, files, capsys, monkeypatch):
         real = experiments.optimal_allocation
 
-        def failing(e, c, objective, op=None):
+        def failing(op, c, objective):
             if objective == "consumption":
                 raise SolverFailure("simplex terminated at a point violating its bounds")
-            return real(e, c, objective, op)
+            return real(op, c, objective)
 
         monkeypatch.setattr(experiments, "optimal_allocation", failing)
         assert run_command(["run", "--economy", files["economy"],
@@ -419,3 +422,55 @@ class TestSweepDensity:
         assert capsys.readouterr().err == (
             "error: --densities '0.5:0.1:-0.2': target 0.5 above the "
             f"economy's density {2 / 9}\n")
+
+
+class TestTracedRun:
+    """benchmarks/tracing.py wraps the program's functions and counts from
+    what they return, so a changed return type could silently empty the
+    per-layer benchmark metrics."""
+
+    def test_tracer_reads_every_layer(self, files, capsys, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        tracing = importlib.import_module("tracing")
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert run_command(["run", "--economy", files["economy"],
+                                "--shocks", files["shocks"],
+                                "--out", files["out"], "--samples", "2"]) == 0
+        assert tracer.missing == ["ioshock.cli.run_method",
+                                  "ioshock.lp.build_max_consumption_lp"]
+        assert dict(tracer.counts) == {
+            "converged_iters": 10,
+            "economy.coefficients.calls": 1,
+            "experiments.run_method.calls": 9,
+            "experiments.summarize.calls": 1,
+            "fileio.bytes": 4325,
+            "fileio.parse_economy_csv.calls": 1,
+            "fileio.parse_shocks_csv.calls": 1,
+            "fileio.write_results.calls": 1,
+            "largest_first.iters": 2,
+            "lp.build_max_output_lp.calls": 2,
+            "lp.optimal_allocation.calls": 2,
+            "lp.pivots": 8,
+            "lp.solve.calls": 2,
+            "meem.classify.calls": 1,
+            "meem.solve_meem.calls": 1,
+            "meem.violations": 1,
+            "mixed.iters": 2,
+            "proportional.iters": 2,
+            "random.iters": 4,
+            "rationing.largest_first_rankings.calls": 1,
+            "rationing.random_rankings.calls": 2,
+            "rationing.ration_largest_first.calls": 1,
+            "rationing.ration_mixed.calls": 1,
+            "rationing.ration_proportional.calls": 1,
+            "rationing.ration_random.calls": 2,
+            "shocks.allocation_is_feasible.calls": 6,
+            "shocks.make_constraints.calls": 1,
+        }
+        declared = json.loads((BENCHMARKS.parent / "BENCHMARK.json").read_text())
+        # trace.overhead_s is measured by benchmarks/run.py, not by a tracer
+        expected = {m["name"] for m in declared["per_layer"]} - {"trace.overhead_s"}
+        metrics = tracing.layer_metrics(tracer)
+        assert len(metrics) == 44
+        assert set(metrics) == expected

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from ioshock import (
     ALL_METHODS,
+    Allocation,
     ShockScenario,
     SweepSpec,
     build_economy,
+    run_method,
     summarize,
     sweep_density,
     sweep_scale,
@@ -45,6 +47,19 @@ class TestSweepSpec:
     def test_rejects_zero_repetitions(self):
         with pytest.raises(ValueError):
             SweepSpec(repetitions=0)
+
+
+class TestRunMethod:
+    def test_every_method_says_how_it_ended(self, chain3, chain3_op,
+                                            chain3_constraints):
+        for method in ALL_METHODS:
+            a = run_method(method, chain3, chain3_op, chain3_constraints, seed=0)
+            assert isinstance(a, Allocation) and a.method == method
+            assert a.converged
+            if method in ("proportional", "mixed", "largest_first", "random"):
+                assert a.iterations >= 1 and a.residual <= 1e-10
+            else:
+                assert math.isnan(a.residual)
 
 
 class TestSweepScale:
@@ -128,6 +143,19 @@ class TestSweepDensity:
             assert d.total_consumption == s.total_consumption
             assert d.density_target == current
             assert math.isnan(s.density_target)
+
+    def test_reads_the_scenario_alphas(self, chain3, chain3_scenario):
+        s = chain3_scenario.with_alphas(0.5, 0.5)
+        dens = sweep_density(chain3, s, SweepSpec(grid=(2.0 / 9.0,),
+                                                  random_samples=2))
+        scale = sweep_scale(chain3, chain3_scenario,
+                            SweepSpec(grid=((0.5, 0.5),), random_samples=2))
+        assert [(d.method, d.sample) for d in dens] == [
+            (s.method, s.sample) for s in scale]
+        for d, s in zip(dens, scale):
+            assert (d.alpha_supply, d.alpha_demand) == (0.5, 0.5)
+            assert d.total_output == s.total_output
+            assert d.total_consumption == s.total_consumption
 
     def test_remove_everything(self, chain3, chain3_scenario):
         records = sweep_density(chain3, chain3_scenario,

@@ -488,7 +488,7 @@ class TestParseShocks:
 class TestWriteResults:
     def files(self, tmp_path, chain3, chain3_op, chain3_scenario):
         c = make_constraints(chain3, chain3_scenario)
-        allocations = [direct_allocation(chain3, c, chain3_op)]
+        allocations = [direct_allocation(chain3_op, c)]
         records = sweep_scale(chain3, chain3_scenario,
                               SweepSpec(grid=((0.0, 0.0), (1.0, 1.0))))
         return write_results(tmp_path / "out", chain3, c, allocations,

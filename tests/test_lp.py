@@ -239,7 +239,7 @@ class TestConsumptionObjective:
         e = productive_economy(rng, n, density)
         op = coefficients(e)
         c = make_constraints(e, random_scenario(rng, n))
-        a = optimal_allocation(e, c, "consumption", op)
+        a = optimal_allocation(op, c, "consumption")
         assert a.f.sum() == pytest.approx(
             enumerate_vertices(reference_consumption_lp(op, c)), rel=1e-9, abs=1e-9)
         # and its point is one of the reference program's
@@ -365,7 +365,7 @@ class TestPinnedPivots:
 
 class TestOptimalAllocation:
     def test_pair2_output_objective(self, pair2, pair2_constraints, pair2_op):
-        a = optimal_allocation(pair2, pair2_constraints, "output", pair2_op)
+        a = optimal_allocation(pair2_op, pair2_constraints, "output")
         npt.assert_allclose(a.x, [9.0, 4.0], atol=1e-9)
         npt.assert_allclose(a.f, [8.0, 1.3], atol=1e-9)
         assert a.feasible
@@ -374,12 +374,12 @@ class TestOptimalAllocation:
     def test_no_shock_recovers_baseline(self, chain3, chain3_op):
         c = Constraints(np.array(chain3.x), np.array(chain3.f))
         for objective in ("output", "consumption"):
-            a = optimal_allocation(chain3, c, objective, chain3_op)
+            a = optimal_allocation(chain3_op, c, objective)
             npt.assert_allclose(a.x, chain3.x, rtol=1e-9)
             npt.assert_allclose(a.f, chain3.f, rtol=1e-9, atol=1e-12)
 
     def test_chain3_output_objective(self, chain3, chain3_constraints, chain3_op):
-        a = optimal_allocation(chain3, chain3_constraints, "output", chain3_op)
+        a = optimal_allocation(chain3_op, chain3_constraints, "output")
         npt.assert_allclose(a.x, [5.0, 4.5, 8.0], atol=1e-9)
         assert a.x.sum() == pytest.approx(17.5)
 
@@ -389,11 +389,11 @@ class TestOptimalAllocation:
             e = random_economy(rng)
             op = coefficients(e)
             c = make_constraints(e, random_scenario(rng, e.n))
-            a = optimal_allocation(e, c, "output", op)
+            a = optimal_allocation(op, c, "output")
             npt.assert_allclose(a.x, op.L @ a.f, rtol=1e-8, atol=1e-10)
-            a = optimal_allocation(e, c, "consumption", op)
+            a = optimal_allocation(op, c, "consumption")
             npt.assert_allclose(a.x, op.L @ a.f, rtol=1e-8, atol=1e-10)
 
     def test_unknown_objective(self, pair2, pair2_constraints, pair2_op):
         with pytest.raises(ValueError):
-            optimal_allocation(pair2, pair2_constraints, "employment", pair2_op)
+            optimal_allocation(pair2_op, pair2_constraints, "employment")

@@ -53,20 +53,20 @@ class TestProportional:
     def test_pair2_fixture(self, pair2, pair2_op, pair2_constraints):
         res = ration_proportional(pair2, pair2_op, pair2_constraints)
         assert res.converged and res.iterations == 2
-        npt.assert_allclose(res.allocation.x, [5.0, 4.0], atol=1e-9)
-        npt.assert_allclose(res.allocation.f, [4.0, 2.5], atol=1e-9)
-        assert res.allocation.feasible
+        npt.assert_allclose(res.x, [5.0, 4.0], atol=1e-9)
+        npt.assert_allclose(res.f, [4.0, 2.5], atol=1e-9)
+        assert res.feasible
 
     def test_no_shock_one_sweep(self, pair2, pair2_op):
         res = ration_proportional(pair2, pair2_op, no_shock(pair2))
         assert res.converged and res.iterations == 1
-        npt.assert_allclose(res.allocation.x, pair2.x, rtol=1e-12)
-        npt.assert_allclose(res.allocation.f, pair2.f, rtol=1e-12)
+        npt.assert_allclose(res.x, pair2.x, rtol=1e-12)
+        npt.assert_allclose(res.f, pair2.f, rtol=1e-12)
 
     def test_chain3_fixture(self, chain3, chain3_op, chain3_constraints):
         res = ration_proportional(chain3, chain3_op, chain3_constraints)
-        npt.assert_allclose(res.allocation.x, [5.0, 3.0, 4.0], atol=1e-9)
-        npt.assert_allclose(res.allocation.f, [2.0, 3.0, 4.0], atol=1e-9)
+        npt.assert_allclose(res.x, [5.0, 3.0, 4.0], atol=1e-9)
+        npt.assert_allclose(res.f, [2.0, 3.0, 4.0], atol=1e-9)
 
     def test_matches_plain_reimplementation(self, pair2, pair2_op, pair2_constraints):
         # unvectorized sweep of the five update rules, as an oracle
@@ -83,49 +83,48 @@ class TestProportional:
                  for i in range(n)]
             d = L @ np.array(f)
         res = ration_proportional(pair2, pair2_op, pair2_constraints)
-        npt.assert_allclose(res.allocation.x, x, atol=1e-9)
-        npt.assert_allclose(res.allocation.f, f, atol=1e-9)
+        npt.assert_allclose(res.x, x, atol=1e-9)
+        npt.assert_allclose(res.f, f, atol=1e-9)
 
 
 class TestMixed:
     def test_pair2_fixture(self, pair2, pair2_op, pair2_constraints):
         res = ration_mixed(pair2, pair2_op, pair2_constraints)
-        npt.assert_allclose(res.allocation.x, PAIR2_MIXED_X, atol=1e-9)
-        npt.assert_allclose(res.allocation.f, [8.0, 1.0], atol=1e-9)
+        npt.assert_allclose(res.x, PAIR2_MIXED_X, atol=1e-9)
+        npt.assert_allclose(res.f, [8.0, 1.0], atol=1e-9)
         # the fixed point satisfies the production recipe
-        npt.assert_allclose(res.allocation.x,
-                            total_demand(pair2_op, res.allocation.f), atol=1e-9)
+        npt.assert_allclose(res.x, total_demand(pair2_op, res.f), atol=1e-9)
 
     def test_no_shock(self, chain3, chain3_op):
         res = ration_mixed(chain3, chain3_op, no_shock(chain3))
-        npt.assert_allclose(res.allocation.x, chain3.x, rtol=1e-12)
+        npt.assert_allclose(res.x, chain3.x, rtol=1e-12)
 
     def test_chain3_fixture(self, chain3, chain3_op, chain3_constraints):
         res = ration_mixed(chain3, chain3_op, chain3_constraints)
         assert res.iterations == 2
-        npt.assert_allclose(res.allocation.x, [5.0, 5.0, 20.0 / 3.0], atol=1e-9)
-        npt.assert_allclose(res.allocation.f, [0.0, 5.0, 20.0 / 3.0], atol=1e-9)
+        npt.assert_allclose(res.x, [5.0, 5.0, 20.0 / 3.0], atol=1e-9)
+        npt.assert_allclose(res.f, [0.0, 5.0, 20.0 / 3.0], atol=1e-9)
 
     def test_consumption_stays_under_ceiling(self, pair2, pair2_op, pair2_constraints):
         res = ration_mixed(pair2, pair2_op, pair2_constraints)
-        assert np.all(res.allocation.f <= pair2_constraints.f_max + 1e-9)
+        assert np.all(res.f <= pair2_constraints.f_max + 1e-9)
 
 
 class TestLargestFirst:
     def test_chain3_fixture(self, chain3, chain3_op, chain3_constraints):
         res = ration_largest_first(chain3, chain3_op, chain3_constraints)
         assert res.converged
-        npt.assert_allclose(res.allocation.x, [5.0, 6.0, 4.0], atol=1e-8)
-        npt.assert_allclose(res.allocation.f, [0.0, 6.0, 4.0], atol=1e-8)
+        npt.assert_allclose(res.x, [5.0, 6.0, 4.0], atol=1e-8)
+        npt.assert_allclose(res.f, [0.0, 6.0, 4.0], atol=1e-8)
 
     def test_pair2_equals_mixed(self, pair2, pair2_op, pair2_constraints):
         # one intermediate customer per supplier: cumulative = total demand
         res = ration_largest_first(pair2, pair2_op, pair2_constraints)
-        npt.assert_allclose(res.allocation.x, PAIR2_MIXED_X, atol=1e-9)
+        npt.assert_allclose(res.x, PAIR2_MIXED_X, atol=1e-9)
 
     def test_no_shock(self, chain3, chain3_op):
         res = ration_largest_first(chain3, chain3_op, no_shock(chain3))
-        npt.assert_allclose(res.allocation.x, chain3.x, rtol=1e-12)
+        npt.assert_allclose(res.x, chain3.x, rtol=1e-12)
 
     def test_non_convergence_reported(self, chain3, chain3_op, chain3_constraints):
         # demand still moves after the first sweep, so one sweep cannot pass
@@ -141,30 +140,30 @@ class TestRandom:
     def test_pair2_any_seed(self, pair2, pair2_op, pair2_constraints):
         for seed in range(5):
             res = ration_random(pair2, pair2_op, pair2_constraints, seed)
-            npt.assert_allclose(res.allocation.x, PAIR2_MIXED_X, atol=1e-9)
+            npt.assert_allclose(res.x, PAIR2_MIXED_X, atol=1e-9)
 
     def test_no_shock(self, pair2, pair2_op):
         res = ration_random(pair2, pair2_op, no_shock(pair2), 99)
-        npt.assert_allclose(res.allocation.x, pair2.x, rtol=1e-12)
+        npt.assert_allclose(res.x, pair2.x, rtol=1e-12)
 
     def test_chain3_reversed_ranking(self, chain3, chain3_op, chain3_constraints):
         assert list(random_rankings(chain3_op, CHAIN3_SEED_32)[0]) == [2, 1]
         res = ration_random(chain3, chain3_op, chain3_constraints, CHAIN3_SEED_32)
-        npt.assert_allclose(res.allocation.x, [5.0, 4.5, 8.0], atol=1e-8)
-        npt.assert_allclose(res.allocation.f, [0.0, 4.5, 8.0], atol=1e-8)
+        npt.assert_allclose(res.x, [5.0, 4.5, 8.0], atol=1e-8)
+        npt.assert_allclose(res.f, [0.0, 4.5, 8.0], atol=1e-8)
 
     def test_chain3_natural_ranking_matches_largest_first(
             self, chain3, chain3_op, chain3_constraints):
         assert list(random_rankings(chain3_op, CHAIN3_SEED_23)[0]) == [1, 2]
         res = ration_random(chain3, chain3_op, chain3_constraints, CHAIN3_SEED_23)
         ref = ration_largest_first(chain3, chain3_op, chain3_constraints)
-        npt.assert_array_equal(res.allocation.x, ref.allocation.x)
+        npt.assert_array_equal(res.x, ref.x)
 
     def test_seed_determinism(self, chain3, chain3_op, chain3_constraints):
         a = ration_random(chain3, chain3_op, chain3_constraints, 1234)
         b = ration_random(chain3, chain3_op, chain3_constraints, 1234)
-        npt.assert_array_equal(a.allocation.x, b.allocation.x)
-        npt.assert_array_equal(a.allocation.f, b.allocation.f)
+        npt.assert_array_equal(a.x, b.x)
+        npt.assert_array_equal(a.f, b.f)
 
 
 def random_ensemble(e, scenario, samples, seed):
@@ -301,10 +300,9 @@ class TestSharedProperties:
             c = make_constraints(e, random_scenario(rng, e.n))
             runs = [algo(e, op, c) for algo in ALGORITHMS]
             runs.append(ration_random(e, op, c, k))
-            for res in runs:
-                if not res.converged:
+            for a in runs:
+                if not a.converged:
                     continue
-                a = res.allocation
                 assert a.feasible
                 assert np.all(a.x >= -1e-9) and np.all(a.x <= c.x_max + 1e-9)
                 assert np.all(a.f >= -1e-9) and np.all(a.f <= c.f_max + 1e-9)
@@ -321,11 +319,10 @@ class TestSharedProperties:
             op = coefficients(e)
             c = make_constraints(e, random_scenario(rng, e.n))
             for algo in ALGORITHMS:
-                res = algo(e, op, c)
-                if not res.converged:
+                a = algo(e, op, c)
+                if not a.converged:
                     continue
                 converged += 1
-                a = res.allocation
                 assert np.all(op.A @ a.x + a.f <= a.x + 1e-8 * e.x.sum())
         assert converged >= 60
 
@@ -333,9 +330,8 @@ class TestSharedProperties:
         prop = ration_proportional(chain3, chain3_op, chain3_constraints)
         large = ration_largest_first(chain3, chain3_op, chain3_constraints)
         mixed = ration_mixed(chain3, chain3_op, chain3_constraints)
-        best = optimal_allocation(chain3, chain3_constraints, "output", chain3_op)
-        totals = [prop.allocation.x.sum(), large.allocation.x.sum(),
-                  mixed.allocation.x.sum()]
+        best = optimal_allocation(chain3_op, chain3_constraints, "output")
+        totals = [prop.x.sum(), large.x.sum(), mixed.x.sum()]
         npt.assert_allclose(totals, [12.0, 15.0, 50.0 / 3.0], atol=1e-6)
         assert all(t <= best.x.sum() + 1e-8 for t in totals)
 
@@ -349,10 +345,10 @@ class TestSharedProperties:
             for algo in ALGORITHMS:
                 res = algo(e, op, c)
                 assert res.iterations == 1
-                npt.assert_allclose(res.allocation.x, expect, rtol=1e-9)
+                npt.assert_allclose(res.x, expect, rtol=1e-9)
             res = ration_random(e, op, c, 0)
-            npt.assert_allclose(res.allocation.x, expect, rtol=1e-9)
-            best = optimal_allocation(e, c, "output", op)
+            npt.assert_allclose(res.x, expect, rtol=1e-9)
+            best = optimal_allocation(op, c, "output")
             assert best.x.sum() == pytest.approx(expect.sum(), rel=1e-9)
 
     def test_single_customer_suppliers_make_priority_rules_equal(self):
@@ -364,5 +360,5 @@ class TestSharedProperties:
         mixed = ration_mixed(e, op, c)
         large = ration_largest_first(e, op, c)
         rand = ration_random(e, op, c, 11)
-        npt.assert_allclose(large.allocation.x, mixed.allocation.x, atol=1e-9)
-        npt.assert_allclose(rand.allocation.x, mixed.allocation.x, atol=1e-9)
+        npt.assert_allclose(large.x, mixed.x, atol=1e-9)
+        npt.assert_allclose(rand.x, mixed.x, atol=1e-9)

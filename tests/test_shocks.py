@@ -129,16 +129,16 @@ class TestAggregateShocks:
 class TestDirectAllocation:
     def test_no_shock_is_feasible(self, chain3, chain3_op):
         c = Constraints(np.array(chain3.x), np.array(chain3.f))
-        a = direct_allocation(chain3, c, chain3_op)
+        a = direct_allocation(chain3_op, c)
         assert a.feasible
         assert a.method == "direct"
         assert a.iterations == 0
 
     def test_chain3_fixture_infeasible(self, chain3, chain3_op, chain3_constraints):
-        a = direct_allocation(chain3, chain3_constraints, chain3_op)
+        a = direct_allocation(chain3_op, chain3_constraints)
         npt.assert_allclose(a.x, [5.0, 6.0, 8.0])
         npt.assert_allclose(a.f, [4.0, 6.0, 8.0])
         assert not a.feasible
 
     def test_pair2_infeasible(self, pair2, pair2_op, pair2_constraints):
-        assert not direct_allocation(pair2, pair2_constraints, pair2_op).feasible
+        assert not direct_allocation(pair2_op, pair2_constraints).feasible
