@@ -29,12 +29,6 @@ from .errors import (
 _HS_TOLERANCE = -1e-10
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Economy:
     """An input-output accounting state.
@@ -87,7 +81,9 @@ def build_economy(Z, f, labels=None) -> Economy:
     """Construct an Economy from a flow matrix and final demand.
 
     Gross output and value added are derived from the two accounting
-    identities. Raises NegativeEntry or DimensionMismatch on bad input.
+    identities. The caller hands Z and f over: float arrays are kept, not
+    copied, and made read-only; lists and other dtypes are copied first.
+    Raises NegativeEntry or DimensionMismatch on bad input.
     """
     Z = np.asarray(Z, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -110,14 +106,9 @@ def build_economy(Z, f, labels=None) -> Economy:
             raise DimensionMismatch(f"{len(labels)} labels for {n} industries")
     x = Z.sum(axis=1) + f
     v = x - Z.sum(axis=0)
-    return Economy(
-        labels=labels,
-        Z=_frozen(Z),
-        f=_frozen(f),
-        x=_frozen(x),
-        v=_frozen(v),
-        negative_value_added=bool(np.any(v < 0)),
-    )
+    for a in (Z, f, x, v):
+        a.setflags(write=False)
+    return Economy(labels, Z, f, x, v, negative_value_added=bool(np.any(v < 0)))
 
 
 def coefficients(e: Economy) -> LeontiefOperator:
@@ -166,21 +157,21 @@ def total_demand(op: LeontiefOperator, f) -> np.ndarray:
     return op.L @ f
 
 
-def remove_links(e: Economy, links) -> Economy:
-    """Zero out the given (supplier, customer) links and rebalance.
+def remove_links(e: Economy, rows, cols) -> Economy:
+    """Zero out the supplier-customer links (rows[t], cols[t]) and rebalance.
 
     The supplier's gross output shrinks so the row identity keeps holding;
     the customer's output is unchanged, with the lost intermediate input
     absorbed into its value added. Final demand is never touched.
     """
     Z = np.array(e.Z)
-    for i, j in links:
-        Z[i, j] = 0.0
+    Z[rows, cols] = 0.0
     return build_economy(Z, e.f, labels=e.labels)
 
 
 def smallest_links(e: Economy, k: int):
-    """The k strictly positive links with smallest flow, ascending.
+    """The k strictly positive links with smallest flow, ascending, as
+    index arrays (rows, cols).
 
     Ties break by (row, column) index order. Raises KTooLarge when fewer
     than k positive links exist.
@@ -189,8 +180,8 @@ def smallest_links(e: Economy, k: int):
     if k > rows.size:
         raise KTooLarge(f"asked for {k} links but only {rows.size} are positive")
     values = e.Z[rows, cols]
-    order = np.lexsort((cols, rows, values))
-    return [(int(rows[t]), int(cols[t])) for t in order[:k]]
+    order = np.lexsort((cols, rows, values))[:k]
+    return rows[order], cols[order]
 
 
 def metrics(e: Economy, op: LeontiefOperator) -> EconomyMetrics:

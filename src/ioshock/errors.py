@@ -34,8 +34,8 @@ class ZeroAggregate(IoShockError):
 
 
 class SolverFailure(IoShockError):
-    """The simplex reached no optimum: an infeasible start, an exhausted
-    pivot budget, a singular basis or an end point outside its bounds."""
+    """The simplex reached no optimum: an exhausted pivot budget, a
+    singular basis or an end point outside its bounds."""
 
 
 class SingularBlock(IoShockError):

@@ -220,7 +220,8 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):
         raise ValueError("grid must be nonempty")
     n = e.n
     current = e.density
-    positive = [(int(i), int(j)) for i, j in zip(*np.nonzero(e.Z > 0))]
+    # the positive links in row-major order, as two index arrays
+    rows, cols = np.nonzero(e.Z > 0)
     reps = 1 if spec.removal_mode == "smallest_first" else spec.repetitions
     for target in spec.grid:
         if target > current + 1e-12:
@@ -229,17 +230,17 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):
     records = []
     for g, target in enumerate(spec.grid):
         k = int(round((current - target) * n**2))
-        k = min(max(k, 0), len(positive))
+        k = min(max(k, 0), rows.size)
         for rep in range(reps):
             if spec.removal_mode == "smallest_first":
                 links = smallest_links(e, k)
             elif spec.removal_mode == "random":
                 rng = np.random.default_rng(_removal_seed(spec.master_seed, g, rep))
-                chosen = rng.choice(len(positive), size=k, replace=False)
-                links = [positive[t] for t in chosen]
+                chosen = rng.choice(rows.size, size=k, replace=False)
+                links = rows[chosen], cols[chosen]
             else:
                 raise ValueError(f"unknown removal mode {spec.removal_mode!r}")
-            e2 = remove_links(e, links)
+            e2 = remove_links(e, *links)
             try:
                 op2 = coefficients(e2)
             except IoShockError as exc:

@@ -111,9 +111,9 @@ def parse_economy_csv(path) -> Economy:
     Header is ``industry,<labels...>,final_demand`` with an optional
     trailing ``gross_output`` column cross-checked against the derived x.
     The file is read one row at a time straight into preallocated arrays,
-    so parsing holds about 2 n**2 doubles (Z and the Economy's frozen
-    copy), never the text of every cell. Errors rank as if the whole file
-    were read first: a line that does not decode, then the header, then
+    which the Economy takes over, so parsing holds about n**2 doubles (Z),
+    never the text of every cell. Errors rank as if the whole file were
+    read first: a line that does not decode, then the header, then
     the number of data rows, then the first bad row.
     """
     with contextlib.closing(_data_rows(path)) as rows:
@@ -164,13 +164,13 @@ def parse_economy_csv(path) -> Economy:
     return e
 
 
-def parse_shocks_csv(path, labels, percent=False, allow_missing=False,
-                     alpha_supply=1.0, alpha_demand=1.0) -> ShockScenario:
+def parse_shocks_csv(path, labels, percent=False, allow_missing=False) -> ShockScenario:
     """Read a shock file in raw (rli/essential) or direct (supply_shock) form.
 
     Industries are matched to economy labels. Missing industries are an
     error unless ``allow_missing`` is set, in which case they get zero
-    shocks. ``percent`` rescales all values by 1/100.
+    shocks. ``percent`` rescales all values by 1/100. Both alphas are 1;
+    ``ShockScenario.with_alphas`` sets others.
     """
     rows = list(_data_rows(path))
     if not rows:
@@ -221,7 +221,7 @@ def parse_shocks_csv(path, labels, percent=False, allow_missing=False,
         raise MissingIndustry(
             f"{path}: no shock row for {missing[:5]}; pass allow_missing to zero-fill"
         )
-    return ShockScenario(eps_s, eps_d, alpha_supply, alpha_demand)
+    return ShockScenario(eps_s, eps_d)
 
 
 def _require_unit(value, name, path, lineno):

@@ -3,10 +3,10 @@
 Minimal shock propagation is one polytope with two objectives: pick final
 consumption f with 0 <= f <= f_max such that gross output x = L f stays
 within 0 <= x <= x_max, then maximize total output 1^T L f or total
-consumption 1^T f. The all-zero consumption vector (full collapse) is
-always feasible, so the simplex starts there. It is a self-contained
-simplex method for bounded variables; the two-sided rows are handled
-natively through ranged slacks rather than by doubling rows.
+consumption 1^T f. Every lower bound is zero, so the all-zero point
+(full collapse) is always feasible and the simplex starts there. It is a
+self-contained simplex method for bounded variables; the two-sided rows
+are handled natively through ranged slacks rather than by doubling rows.
 
 The equality form is ``[G I]``, so every basis is ``[G[:, S] | I[:, T]]``
 with S the basic structural columns and T the rows whose slack is basic.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .economy import LeontiefOperator
 from .errors import DimensionMismatch, SolverFailure
-from .shocks import Allocation, Constraints
+from .shocks import Allocation, Constraints, allocation_is_feasible
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -43,21 +43,18 @@ _FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize c @ y  subject to  lb <= y <= ub,  row_lb <= G y <= row_ub."""
+    """maximize c @ y  subject to  0 <= y <= ub,  0 <= G y <= row_ub."""
 
     c: np.ndarray
-    lb: np.ndarray
     ub: np.ndarray
     G: np.ndarray
-    row_lb: np.ndarray
     row_ub: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.lb > self.ub) or np.any(self.row_lb > self.row_ub):
-            raise ValueError("lower bound exceeds upper bound")
-        for name in ("lb", "ub", "row_lb", "row_ub"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
+        for name in ("ub", "row_ub"):
+            bound = getattr(self, name)
+            if not np.all(np.isfinite(bound)) or np.any(bound < 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -88,10 +85,8 @@ def build_max_output_lp(op: LeontiefOperator, c: Constraints,
         raise ValueError(f"unknown objective {objective!r}")
     return LinearProgram(
         c=weights,
-        lb=np.zeros(n),
         ub=np.array(c.f_max),
-        G=np.array(op.L),
-        row_lb=np.zeros(n),
+        G=op.L,
         row_ub=np.array(c.x_max),
     )
 
@@ -99,12 +94,11 @@ def build_max_output_lp(op: LeontiefOperator, c: Constraints,
 def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
     """Bounded-variable simplex with Dantzig pricing and a Bland fallback.
 
-    Starts from the all-lower-bound point with a slack basis; programs
-    built by this module are always feasible there (the full-collapse
-    allocation). Switches to Bland's rule after a run of degenerate pivots
-    to rule out cycling. Raises SolverFailure when the start breaks a row
-    bound, when ``max_iter`` pivots do not reach an optimum, or when the
-    basis turns singular.
+    Starts from the all-zero point with a slack basis, feasible for every
+    program (the full-collapse allocation), so no start breaks a row bound.
+    Switches to Bland's rule after a run of degenerate pivots to rule out
+    cycling. Raises SolverFailure when ``max_iter`` pivots do not reach an
+    optimum, or when the basis turns singular.
     """
     n = lp.c.size
     m = lp.G.shape[0]
@@ -112,22 +106,21 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         max_iter = 50 * (n + m)
     stall_limit = 3 * (n + m)
 
-    # Equality form: [G I] z = row_ub with ranged slack s in [0, row_ub - row_lb].
+    # Equality form: [G I] z = row_ub with ranged slack s in [0, row_ub].
     A = np.hstack([lp.G, np.eye(m)])
     b = np.array(lp.row_ub, dtype=float)
-    lo = np.concatenate([lp.lb, np.zeros(m)])
-    hi = np.concatenate([lp.ub, lp.row_ub - lp.row_lb])
+    hi = np.concatenate([lp.ub, lp.row_ub])
     cost = np.concatenate([lp.c, np.zeros(m)])
 
-    scale = max(1.0, np.max(np.abs(b)), np.max(np.abs(hi[np.isfinite(hi)])))
+    scale = max(1.0, np.max(hi))  # hi holds b and every bound is >= 0
     ftol = _FEAS_TOL * scale
-    movable = hi - lo > ftol  # a fixed variable can never move
+    movable = hi > ftol  # a variable fixed at zero can never move
 
     basis = np.arange(n, n + m)
     nonbasic = np.arange(n)
     # nonbasic variables and whether each sits at its upper bound
     at_upper = np.zeros(n + m, dtype=bool)
-    z = np.array(lo)
+    z = np.zeros(n + m)
 
     def refactor():
         """Gather the current basis's block, recompute the basic values and
@@ -144,11 +137,6 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         return B, reduced
 
     B, reduced = refactor()
-    if np.any(z[basis] < lo[basis] - ftol) or np.any(z[basis] > hi[basis] + ftol):
-        raise SolverFailure(
-            "all-lower-bound point violates a row bound; "
-            "only programs feasible at their lower bounds are supported"
-        )
 
     stall = 0
     for it in range(1, max_iter + 1):
@@ -174,9 +162,9 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         cand = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
         var = basis[cand]
         hits_upper = step[cand] < 0  # basic var increases towards its upper bound
-        room = np.where(hits_upper, hi[var] - z[var], z[var] - lo[var])
+        room = np.where(hits_upper, hi[var] - z[var], z[var])
         ratios = np.maximum(room / np.abs(step[cand]), 0.0)
-        t_best = float(hi[j] - lo[j])
+        t_best = float(hi[j])
         leave_pos = None  # position in basis, or None for a bound flip
         leave_var = -1
         leave_to_upper = False
@@ -197,7 +185,7 @@ def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
         if leave_pos is None:
             at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
         else:
-            z[leave_var] = hi[leave_var] if leave_to_upper else lo[leave_var]
+            z[leave_var] = hi[leave_var] if leave_to_upper else 0.0
             at_upper[leave_var] = leave_to_upper
             basis[leave_pos] = j
             nonbasic[k] = leave_var
@@ -251,9 +239,9 @@ def _assert_solution(lp: LinearProgram, y: np.ndarray, ftol: float):
     rel = 1e-9 * np.maximum(np.abs(lp.row_ub), 1.0)
     rows = lp.G @ y
     ok = (
-        np.all(y >= lp.lb - ftol)
+        np.all(y >= -ftol)
         and np.all(y <= lp.ub + ftol)
-        and np.all(rows >= lp.row_lb - ftol - rel)
+        and np.all(rows >= -ftol - rel)
         and np.all(rows <= lp.row_ub + ftol + rel)
     )
     if not ok:
@@ -274,6 +262,6 @@ def optimal_allocation(op: LeontiefOperator, c: Constraints,
         x=x,
         f=f,
         method=f"lp_{objective}",
-        feasible=True,
+        feasible=allocation_is_feasible(x, f, op, c),
         iterations=sol.iterations,
     )

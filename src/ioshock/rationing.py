@@ -28,6 +28,7 @@ ceiling, breaking feasibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,12 @@ GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 class RationingOptions:
     tol: float = 1e-10
     max_iter: int = 10**6
+
+    def __post_init__(self):
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
 
 
 def _proportional_ratios(d, avail):

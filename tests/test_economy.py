@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioshock import (
     build_economy,
@@ -18,7 +20,13 @@ from ioshock.errors import (
     ZeroOutputWithInputs,
 )
 
-from conftest import CHAIN3_F, random_economy, sized_economy, traced_peak
+from conftest import (
+    CHAIN3_F,
+    productive_economy,
+    random_economy,
+    sized_economy,
+    traced_peak,
+)
 
 
 class TestBuildEconomy:
@@ -58,6 +66,25 @@ class TestBuildEconomy:
         e = build_economy([[0.0, 5.0], [0.0, 0.0]], [1.0, 2.0])
         assert e.v[1] < 0
         assert e.negative_value_added
+
+    def test_takes_ownership_of_float_arrays(self):
+        Z = np.array([[0.0, 2.0], [3.0, 0.0]])
+        f = np.array([8.0, 5.0])
+        e = build_economy(Z, f)
+        assert np.shares_memory(Z, e.Z) and np.shares_memory(f, e.f)
+        assert not Z.flags.writeable and not f.flags.writeable
+        assert not e.x.flags.writeable and not e.v.flags.writeable
+
+    def test_copies_lists_and_other_dtypes(self):
+        Z = [[0, 2], [3, 0]]
+        f = np.array([8, 5])
+        e = build_economy(Z, f)
+        assert e.Z.dtype == e.f.dtype == np.float64
+        assert not np.shares_memory(f, e.f)
+        assert f.flags.writeable
+        assert not e.Z.flags.writeable and not e.f.flags.writeable
+        Z[0][1] = 7
+        assert e.Z[0, 1] == 2.0
 
 
 class TestCoefficients:
@@ -141,20 +168,84 @@ class TestTotalDemand:
             total_demand(chain3_op, np.zeros(2))
 
 
+def loop_remove_links(e, links):
+    """The per-link form of remove_links, one (supplier, customer) pair at
+    a time: the reference the array form is held to bitwise."""
+    Z = np.array(e.Z)
+    for i, j in links:
+        Z[i, j] = 0.0
+    return build_economy(Z, e.f, labels=e.labels)
+
+
+def reference_smallest_links(e, k):
+    """The k smallest positive links as a list of pairs, sorted by value,
+    then row, then column."""
+    n = e.n
+    positive = [(i, j) for i in range(n) for j in range(n) if e.Z[i, j] > 0]
+    return sorted(positive, key=lambda ij: (e.Z[ij], *ij))[:k]
+
+
+def pairs(links):
+    """Index arrays (rows, cols) as a list of (row, column) pairs."""
+    rows, cols = links
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def link_removals(draw):
+    """A sparse economy and k of its positive links (0 <= k <= all of
+    them) in shuffled order, some repeated, plus a few arbitrary pairs
+    that may be zero flows already."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    e = productive_economy(rng, n, draw(st.sampled_from([0.1, 0.3, 0.8])))
+    rows, cols = np.nonzero(e.Z > 0)
+    chosen = rng.choice(rows.size, draw(st.integers(0, rows.size)), replace=False)
+    repeated = rng.choice(chosen, draw(st.integers(0, 3))) if chosen.size else chosen
+    idx = rng.permutation(np.concatenate([chosen, repeated]))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3))
+    r = np.concatenate([rows[idx], np.array([i for i, _ in extra], dtype=np.intp)])
+    c = np.concatenate([cols[idx], np.array([j for _, j in extra], dtype=np.intp)])
+    return e, r, c
+
+
 class TestRemoveLinks:
+    @settings(max_examples=150, deadline=None)
+    @given(link_removals())
+    def test_matches_loop_form(self, drawn):
+        e, rows, cols = drawn
+        got = remove_links(e, rows, cols)
+        want = loop_remove_links(e, zip(rows.tolist(), cols.tolist()))
+        for name in ("Z", "f", "x", "v"):
+            assert bitwise_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_peak_memory(self):
+        n = 200
+        e = sized_economy(3, n, 0.3)
+        rows, cols = np.nonzero(e.Z > 0)
+        chosen = np.random.default_rng(0).choice(rows.size, rows.size // 2,
+                                                 replace=False)
+        # the thinned Z only: about 1.1 n**2 doubles
+        assert traced_peak(remove_links, e, rows[chosen], cols[chosen]) <= 1.5 * n**2 * 8
+
     def test_pair2_single_link(self, pair2):
-        e = remove_links(pair2, [(0, 1)])
+        e = remove_links(pair2, [0], [1])
         npt.assert_allclose(e.x, [8.0, 8.0])
         npt.assert_allclose(e.v, [5.0, 8.0])
         assert e.Z[1, 0] == 3.0
 
     def test_zero_link_is_identity(self, pair2):
-        e = remove_links(pair2, [(0, 0)])
+        e = remove_links(pair2, [0], [0])
         npt.assert_array_equal(e.Z, pair2.Z)
         npt.assert_array_equal(e.x, pair2.x)
 
     def test_chain3_all_links(self, chain3):
-        e = remove_links(chain3, [(0, 1), (0, 2)])
+        e = remove_links(chain3, [0, 0], [1, 2])
         npt.assert_array_equal(e.Z, np.zeros((3, 3)))
         npt.assert_allclose(e.x, CHAIN3_F)
 
@@ -162,9 +253,8 @@ class TestRemoveLinks:
         rng = np.random.default_rng(7)
         for _ in range(20):
             e = random_economy(rng)
-            links = [(int(i), int(j))
-                     for i, j in zip(rng.integers(0, e.n, 3), rng.integers(0, e.n, 3))]
-            e2 = remove_links(e, links)
+            rows, cols = rng.integers(0, e.n, 3), rng.integers(0, e.n, 3)
+            e2 = remove_links(e, rows, cols)
             npt.assert_array_equal(e2.f, e.f)
             npt.assert_array_equal(e2.x, e2.Z.sum(axis=1) + e2.f)
             # column identity holds up to float re-association only
@@ -174,22 +264,33 @@ class TestRemoveLinks:
         rng = np.random.default_rng(11)
         for _ in range(10):
             e = random_economy(rng)
-            links = [(int(rng.integers(e.n)), int(rng.integers(e.n)))]
-            e2 = remove_links(e, links)
+            i, j = int(rng.integers(e.n)), int(rng.integers(e.n))
+            e2 = remove_links(e, [i], [j])
             assert e2.density <= e.density
-            if all(e.Z[i, j] == 0 for i, j in links):
+            if e.Z[i, j] == 0:
                 assert e2.density == e.density
 
 
 class TestSmallestLinks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8),
+           st.sampled_from([0.1, 0.3, 0.8]), st.floats(0, 1))
+    def test_matches_list_of_pairs(self, seed, n, density, share):
+        e = productive_economy(np.random.default_rng(seed), n, density)
+        # a few repeated flow values, so ties break by index
+        Z = np.round(np.array(e.Z), 0)
+        e = build_economy(Z, e.f)
+        k = int(share * np.count_nonzero(Z > 0))
+        assert pairs(smallest_links(e, k)) == reference_smallest_links(e, k)
+
     def test_pair2(self, pair2):
-        assert smallest_links(pair2, 1) == [(0, 1)]
+        assert pairs(smallest_links(pair2, 1)) == [(0, 1)]
 
     def test_zero_count(self, pair2):
-        assert smallest_links(pair2, 0) == []
+        assert pairs(smallest_links(pair2, 0)) == []
 
     def test_chain3_order(self, chain3):
-        assert smallest_links(chain3, 2) == [(0, 2), (0, 1)]
+        assert pairs(smallest_links(chain3, 2)) == [(0, 2), (0, 1)]
 
     def test_too_large(self, pair2):
         with pytest.raises(KTooLarge):
@@ -198,7 +299,7 @@ class TestSmallestLinks:
     def test_tie_break_by_index(self):
         e = build_economy([[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
                           [1.0, 1.0, 2.0])
-        assert smallest_links(e, 3) == [(0, 1), (0, 2), (1, 0)]
+        assert pairs(smallest_links(e, 3)) == [(0, 1), (0, 2), (1, 0)]
 
 
 class TestMetrics:

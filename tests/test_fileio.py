@@ -408,8 +408,14 @@ class TestParseMemory:
     def test_parse_holds_few_copies_of_z(self, tmp_path):
         p = tmp_path / "e.csv"
         write_economy_csv(p, sized_economy(3, self.N, 0.3))
-        # Z and the Economy's copy of it: about 2.2 n**2 doubles
+        # test_economy_takes_over_parsed_z below holds the tighter bound
         assert traced_peak(parse_economy_csv, p) <= 3 * self.N**2 * 8
+
+    def test_economy_takes_over_parsed_z(self, tmp_path):
+        p = tmp_path / "e.csv"
+        write_economy_csv(p, sized_economy(3, self.N, 0.3))
+        # Z alone, which the Economy keeps: about 1.3 n**2 doubles
+        assert traced_peak(parse_economy_csv, p) <= 1.5 * self.N**2 * 8
 
 
 class TestParseShocks:
@@ -439,8 +445,10 @@ class TestParseShocks:
     def test_alphas_attached(self, tmp_path):
         text = ("industry,supply_shock,demand_shock\n"
                 "upstream,0.5,0\nparts,0,0\ngoods,0,0\n")
-        s = parse_shocks_csv(write(tmp_path, "s.csv", text), self.LABELS,
-                             alpha_supply=0.25, alpha_demand=0.75)
+        s = parse_shocks_csv(write(tmp_path, "s.csv", text), self.LABELS)
+        assert (s.alpha_supply, s.alpha_demand) == (1.0, 1.0)
+        # the command line sets the alphas on the parsed scenario
+        s = s.with_alphas(0.25, 0.75)
         assert (s.alpha_supply, s.alpha_demand) == (0.25, 0.75)
 
     def test_unknown_industry(self, tmp_path):

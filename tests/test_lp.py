@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -19,29 +20,39 @@ from ioshock import (
     sweep_density,
 )
 from ioshock.errors import DimensionMismatch, SolverFailure
-from ioshock.lp import _BlockBasis
+from ioshock.lp import LpSolution, _BlockBasis
 
-from conftest import productive_economy, random_economy, random_scenario, sized_economy
+from conftest import (
+    productive_economy,
+    random_economy,
+    random_scenario,
+    sized_economy,
+    traced_peak,
+)
 
 
 def enumerate_vertices(lp, tol=1e-9):
     """Brute-force oracle: intersect every choice of n active constraints,
     keep the feasible points, return the best objective.
 
-    Constraints are the variable bounds and both sides of every row.
-    Independent of the simplex path entirely.
+    Constraints are the variable bounds and both sides of every row. A
+    program without ``lb`` or ``row_lb`` (a LinearProgram) has zero lower
+    bounds. Independent of the simplex path entirely.
     """
     n = lp.c.size
+    m = lp.G.shape[0]
+    lb = getattr(lp, "lb", np.zeros(n))
+    row_lb = getattr(lp, "row_lb", np.zeros(m))
     rows = []
     rhs = []
     for j in range(n):
         unit = np.zeros(n)
         unit[j] = 1.0
         rows += [unit, unit.copy()]
-        rhs += [lp.lb[j], lp.ub[j]]
-    for k in range(lp.G.shape[0]):
+        rhs += [lb[j], lp.ub[j]]
+    for k in range(m):
         rows += [lp.G[k], lp.G[k]]
-        rhs += [lp.row_lb[k], lp.row_ub[k]]
+        rhs += [row_lb[k], lp.row_ub[k]]
     best = -np.inf
     for combo in itertools.combinations(range(len(rows)), n):
         M = np.array([rows[i] for i in combo])
@@ -49,8 +60,8 @@ def enumerate_vertices(lp, tol=1e-9):
             continue
         y = np.linalg.solve(M, np.array([rhs[i] for i in combo]))
         vals = lp.G @ y
-        if (np.all(y >= lp.lb - tol) and np.all(y <= lp.ub + tol)
-                and np.all(vals >= lp.row_lb - tol)
+        if (np.all(y >= lb - tol) and np.all(y <= lp.ub + tol)
+                and np.all(vals >= row_lb - tol)
                 and np.all(vals <= lp.row_ub + tol)):
             best = max(best, float(lp.c @ y))
     return best
@@ -63,8 +74,6 @@ class TestBuilders:
         npt.assert_array_equal(lp.G, pair2_op.L)
         npt.assert_array_equal(lp.ub, pair2_constraints.f_max)
         npt.assert_array_equal(lp.row_ub, pair2_constraints.x_max)
-        npt.assert_array_equal(lp.lb, np.zeros(2))
-        npt.assert_array_equal(lp.row_lb, np.zeros(2))
 
     def test_max_output_no_shock_baseline_feasible(self, pair2, pair2_op):
         c = Constraints(np.array(pair2.x), np.array(pair2.f))
@@ -81,7 +90,7 @@ class TestBuilders:
         lp = build_max_output_lp(pair2_op, pair2_constraints, "consumption")
         output = build_max_output_lp(pair2_op, pair2_constraints)
         npt.assert_array_equal(lp.c, np.ones(2))
-        for name in ("lb", "ub", "G", "row_lb", "row_ub"):
+        for name in ("ub", "G", "row_ub"):
             npt.assert_array_equal(getattr(lp, name), getattr(output, name))
 
     def test_max_consumption_no_flows(self):
@@ -105,10 +114,25 @@ class TestBuilders:
         with pytest.raises(DimensionMismatch):
             build_max_output_lp(pair2_op, Constraints(np.zeros(3), np.zeros(3)))
 
+    def test_reads_L_in_place(self, pair2_op, pair2_constraints):
+        lp = build_max_output_lp(pair2_op, pair2_constraints)
+        assert lp.G is pair2_op.L
+
+    def test_peak_memory(self):
+        n = 200
+        e = sized_economy(3, n, 0.3)
+        op = coefficients(e)
+        c = make_constraints(e, random_scenario(np.random.default_rng(3), n))
+        # the objective weights and bounds only: no n x n array
+        assert traced_peak(build_max_output_lp, op, c) <= 0.1 * n**2 * 8
+
     def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            LinearProgram(np.ones(1), np.array([1.0]), np.array([0.0]),
-                          np.ones((1, 1)), np.zeros(1), np.ones(1))
+        # every lower bound is zero, so an upper bound must be finite and
+        # nonnegative
+        for ub, row_ub in [(-1.0, 1.0), (1.0, -1.0), (np.inf, 1.0), (1.0, np.nan)]:
+            with pytest.raises(ValueError, match="must be finite and nonnegative"):
+                LinearProgram(np.ones(1), np.array([ub]), np.ones((1, 1)),
+                              np.array([row_ub]))
 
 
 class TestSolve:
@@ -175,8 +199,8 @@ class TestSolve:
         G[4, 2] = -0.001
         G[5, [1, 3, 6]] = [1.0, -0.05, -0.0005]
         lp = LinearProgram(c=np.array([0.97, 1.0, 0.97, 1.0, 0.97, 0.98, 0.97]),
-                           lb=np.zeros(7), ub=np.array([2.0, 2, 1, 2, 1, 1, 1]),
-                           G=G, row_lb=np.zeros(6), row_ub=np.ones(6))
+                           ub=np.array([2.0, 2, 1, 2, 1, 1, 1]),
+                           G=G, row_ub=np.ones(6))
         with pytest.raises(SolverFailure, match="^simplex basis became singular") as exc:
             solve(lp)
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
@@ -195,8 +219,8 @@ class TestSolve:
         G[5, [0, 5]] = [-0.0005, 1.0]
         G[6, 1] = -0.05
         lp = LinearProgram(c=np.array([1.0, 1.0, 1.0, 0.97, 0.98, 1.0]),
-                           lb=np.zeros(6), ub=np.array([1.0, 1, 1, 1, 1, 2]),
-                           G=G, row_lb=np.zeros(7), row_ub=np.ones(7))
+                           ub=np.array([1.0, 1, 1, 1, 1, 2]),
+                           G=G, row_ub=np.ones(7))
         sol = solve(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(2.95, rel=1e-12)
@@ -209,14 +233,6 @@ class TestSolve:
         with pytest.raises(SolverFailure, match="no optimum in 1 pivots"):
             solve(lp, max_iter=1)
 
-    def test_infeasible_start_is_solver_failure(self):
-        # the row asks for 1 <= y <= 2, which y = 0 breaks
-        lp = LinearProgram(c=np.ones(1), lb=np.zeros(1), ub=np.ones(1),
-                           G=np.ones((1, 1)), row_lb=np.ones(1),
-                           row_ub=np.full(1, 2.0))
-        with pytest.raises(SolverFailure, match="violates a row bound"):
-            solve(lp)
-
 
 def reference_consumption_lp(op, c):
     """The consumption program as first posed, on a polytope of its own:
@@ -224,8 +240,8 @@ def reference_consumption_lp(op, c):
     consumption (I - A) x within its ceilings."""
     n = op.n
     ImA = np.eye(n) - op.A
-    return LinearProgram(c=ImA.sum(axis=0), lb=np.zeros(n), ub=np.array(c.x_max),
-                         G=ImA, row_lb=np.zeros(n), row_ub=np.array(c.f_max))
+    return SimpleNamespace(c=ImA.sum(axis=0), lb=np.zeros(n), ub=np.array(c.x_max),
+                           G=ImA, row_lb=np.zeros(n), row_ub=np.array(c.f_max))
 
 
 class TestConsumptionObjective:
@@ -316,11 +332,11 @@ class TestBlockBasis:
 def thinned(e, target, seed):
     """Remove uniformly drawn links down to a target density, as the
     random removal mode of sweep_density does at grid point 0."""
-    positive = [(int(i), int(j)) for i, j in zip(*np.nonzero(e.Z > 0))]
+    rows, cols = np.nonzero(e.Z > 0)
     k = int(round((e.density - target) * e.n**2))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0, 0, 1]))
-    return remove_links(e, [positive[t] for t in rng.choice(len(positive), k,
-                                                            replace=False)])
+    chosen = rng.choice(rows.size, k, replace=False)
+    return remove_links(e, rows[chosen], cols[chosen])
 
 
 # (seed, n, link density, thinned to, alpha_supply, program, pivots,
@@ -393,6 +409,18 @@ class TestOptimalAllocation:
             npt.assert_allclose(a.x, op.L @ a.f, rtol=1e-8, atol=1e-10)
             a = optimal_allocation(op, c, "consumption")
             npt.assert_allclose(a.x, op.L @ a.f, rtol=1e-8, atol=1e-10)
+
+    def test_feasible_flag_is_checked(self, monkeypatch, pair2_constraints,
+                                      pair2_op):
+        # a returned point above an output ceiling must not be flagged
+        # feasible: f = f_max gives x = L f_max, which breaks x_max here
+        def over_ceiling(lp, max_iter=None):
+            return LpSolution(np.array(pair2_constraints.f_max), 0.0, 0)
+
+        monkeypatch.setattr("ioshock.lp.solve", over_ceiling)
+        a = optimal_allocation(pair2_op, pair2_constraints, "output")
+        assert np.any(a.x > pair2_constraints.x_max)
+        assert not a.feasible
 
     def test_unknown_objective(self, pair2, pair2_constraints, pair2_op):
         with pytest.raises(ValueError):

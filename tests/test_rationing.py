@@ -136,6 +136,21 @@ class TestLargestFirst:
         assert res.residual > 1e-10
 
 
+class TestOptions:
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": -5}, "max_iter"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-10}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+    ])
+    def test_unusable_settings_rejected(self, kwargs, match):
+        # no sweep could run, or no residual could ever pass the test
+        with pytest.raises(ValueError, match=match):
+            RationingOptions(**kwargs)
+
+
 class TestRandom:
     def test_pair2_any_seed(self, pair2, pair2_op, pair2_constraints):
         for seed in range(5):
