@@ -35,7 +35,8 @@ class ZeroAggregate(IoShockError):
 
 class SolverFailure(IoShockError):
     """The simplex reached no optimum: an exhausted pivot budget, a
-    singular basis or an end point outside its bounds."""
+    singular basis, no entering variable or an end point outside its
+    bounds."""
 
 
 class SingularBlock(IoShockError):

@@ -3,27 +3,24 @@
 Minimal shock propagation is one polytope with two objectives: pick final
 consumption f with 0 <= f <= f_max such that gross output x = L f stays
 within 0 <= x <= x_max, then maximize total output 1^T L f or total
-consumption 1^T f. Every lower bound is zero, so the all-zero point
-(full collapse) is always feasible and the simplex starts there. It is a
-self-contained simplex method for bounded variables; the two-sided rows
-are handled natively through ranged slacks rather than by doubling rows.
+consumption 1^T f. A self-contained bounded dual simplex (Maros,
+*Computational Techniques of the Simplex Method*, 2003) solves it, with
+the two-sided rows as ranged slacks: the equality form is ``[G I]``.
 
-The equality form is ``[G I]``, so every basis is ``[G[:, S] | I[:, T]]``
-with S the basic structural columns and T the rows whose slack is basic.
-Its linear systems reduce to the structural block ``G[R, S]``, R being the
-rows whose slack is nonbasic (|R| = |S|): ``B w = a`` is
-``G[R, S] w_S = a_R`` with ``w_T = a_T - G[T, S] w_S``, and ``B^T y = c_B``
-is ``G[R, S]^T y_R = c_S`` with ``y_T = 0``, slacks costing nothing (Chvatal,
-*Linear Programming*, 1983, ch. 8). The block is gathered once per basis
-and every solve is one ``numpy.linalg.solve`` on it with a single
-right-hand side: the basic values when a basis is entered, the dual once
-per basis, and each entering column. The reduced costs are priced once
-per basis; a bound flip (the entering variable crosses its own box before
-any basic variable leaves) changes none of them, so it costs only the
-entering column's solve.
-Pricing and the ratio test are numpy array operations; only the ratio
-test's tolerance-based tie-break runs in a loop, over the basic variables
-the entering column moves.
+Every variable is boxed (f in [0, f_max], each slack in [0, x_max]), so
+placing each nonbasic variable at the bound its reduced cost asks for (the
+upper one for a positive reduced cost, zero for a negative one, and the
+bound it already holds for one within tolerance of zero) makes every basis
+dual feasible, for any G; no phase 1 is needed. A basis
+``[G[:, S] | I[:, T]]``, with T the rows whose slack is basic, reduces to
+its structural block ``G[R, S]`` over the other rows R (Chvatal, *Linear
+Programming*, 1983, ch. 8), gathered once per basis; a pivot solves with it
+three times, for the row prices, the basic values and the leaving
+variable's row of B^-1.
+
+The start is a crash: the rows where the demand-limited output x*
+(``_demand_limited_output``) reaches its ceiling are held tight. Wherever
+no input bottleneck emerges, that basis is already optimal.
 """
 
 from __future__ import annotations
@@ -39,6 +36,9 @@ from .shocks import Allocation, Constraints, allocation_is_feasible
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-9
+#: the crash's stopping step, relative to the largest ceiling, and its cap
+_CRASH_TOL = 1e-15
+_CRASH_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -91,106 +91,67 @@ def build_max_output_lp(op: LeontiefOperator, c: Constraints,
     )
 
 
-def solve(lp: LinearProgram, max_iter: int | None = None) -> LpSolution:
-    """Bounded-variable simplex with Dantzig pricing and a Bland fallback.
+def solve(lp: LinearProgram, tight=(), max_iter: int | None = None) -> LpSolution:
+    """Bounded dual simplex from the basis that ``tight`` names.
 
-    Starts from the all-zero point with a slack basis, feasible for every
-    program (the full-collapse allocation), so no start breaks a row bound.
-    Switches to Bland's rule after a run of degenerate pivots to rule out
-    cycling. Raises SolverFailure when ``max_iter`` pivots do not reach an
-    optimum, or when the basis turns singular.
+    The start basis holds y_i for each row i in ``tight`` (whose slack is
+    nonbasic at zero) and the slack of every other row. While a basic
+    variable lies outside its box by more than the feasibility tolerance,
+    the one furthest outside leaves, and the dual ratio test picks the
+    entering variable: the smallest |d_j / alpha_j| among the variables
+    that can move the leaving one towards its box, a tie going to the
+    smallest index (structural columns before slacks). Raises SolverFailure
+    when ``max_iter`` pivots reach no optimum, when no variable can enter,
+    or when the basis block is singular.
     """
     n = lp.c.size
     m = lp.G.shape[0]
     if max_iter is None:
         max_iter = 50 * (n + m)
-    stall_limit = 3 * (n + m)
 
     # Equality form: [G I] z = row_ub with ranged slack s in [0, row_ub].
-    A = np.hstack([lp.G, np.eye(m)])
-    b = np.array(lp.row_ub, dtype=float)
     hi = np.concatenate([lp.ub, lp.row_ub])
     cost = np.concatenate([lp.c, np.zeros(m)])
-
-    scale = max(1.0, np.max(hi))  # hi holds b and every bound is >= 0
-    ftol = _FEAS_TOL * scale
-    movable = hi > ftol  # a variable fixed at zero can never move
+    ftol = _FEAS_TOL * max(1.0, np.max(hi))  # every bound is >= 0
+    movable = hi > ftol  # a variable fixed at zero never limits the dual step
 
     basis = np.arange(n, n + m)
-    nonbasic = np.arange(n)
-    # nonbasic variables and whether each sits at its upper bound
-    at_upper = np.zeros(n + m, dtype=bool)
+    tight = np.asarray(tight, dtype=int)
+    basis[tight] = tight
     z = np.zeros(n + m)
-
-    def refactor():
-        """Gather the current basis's block, recompute the basic values and
-        price the nonbasic variables; a bound flip changes neither block nor
-        prices, so this runs once per basis."""
-        # Only the k x k block G[R, S] is ever solved with, and numpy keeps
-        # no LU factors, so each of its solves factors it afresh; an explicit
-        # inverse (per basis or product-form updated) changes pivot paths,
-        # and a two-column solve rounds unlike two one-column solves
+    for pivots in range(max_iter + 1):
         B = _BlockBasis(lp.G, basis)
-        N = A[:, nonbasic]
-        z[basis] = B.solve(b - N @ z[nonbasic])
-        reduced = cost[nonbasic] - N.T @ B.dual(cost[B.cols])
-        return B, reduced
+        y = B.dual(cost[basis])
+        reduced = cost - np.concatenate([lp.G.T @ y, y])
+        # a reduced cost within tolerance of zero asks for neither bound: the
+        # variable keeps the one it sat at, or the one it left the basis for
+        upper = (reduced > _PIVOT_TOL) | ((reduced >= -_PIVOT_TOL) & (z >= hi))
+        upper[basis] = False
+        z = np.where(upper, hi, 0.0)
+        z[basis] = B.solve(lp.row_ub - lp.G @ z[:n] - z[n:])
 
-    B, reduced = refactor()
-
-    stall = 0
-    for it in range(1, max_iter + 1):
-        eligible = movable[nonbasic] & np.where(
-            at_upper[nonbasic], reduced < -_PIVOT_TOL, reduced > _PIVOT_TOL)
-        if not eligible.any():
+        excess = np.maximum(-z[basis], z[basis] - hi[basis])
+        p = np.argmax(excess)
+        if excess[p] <= ftol:
             _assert_solution(lp, z[:n], ftol)
-            return LpSolution(np.array(z[:n]), float(lp.c @ z[:n]), it - 1)
+            return LpSolution(z[:n], float(lp.c @ z[:n]), pivots)
+        if pivots == max_iter:
+            break
 
-        if stall > stall_limit:
-            # Bland: smallest variable index
-            k = np.flatnonzero(eligible)[np.argmin(nonbasic[eligible])]
-        else:
-            # Dantzig: largest |reduced cost|, first position on a tie
-            k = np.argmax(np.where(eligible, np.abs(reduced), -1.0))
-        j = nonbasic[k]
-
-        sigma = -1.0 if at_upper[j] else 1.0  # direction the entering var moves
-        w = B.solve(A[:, j])
-
-        # Ratio test: entering bound flip vs. first basic variable hitting a bound.
-        step = sigma * w
-        cand = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
-        var = basis[cand]
-        hits_upper = step[cand] < 0  # basic var increases towards its upper bound
-        room = np.where(hits_upper, hi[var] - z[var], z[var])
-        ratios = np.maximum(room / np.abs(step[cand]), 0.0)
-        t_best = float(hi[j])
-        leave_pos = None  # position in basis, or None for a bound flip
-        leave_var = -1
-        leave_to_upper = False
-        for p, v, t_p, up in zip(cand.tolist(), var.tolist(), ratios.tolist(),
-                                 hits_upper.tolist()):
-            if t_p < t_best - _PIVOT_TOL or (
-                t_p < t_best + _PIVOT_TOL and leave_pos is not None and v < leave_var
-            ):
-                t_best = t_p
-                leave_pos = p
-                leave_var = v
-                leave_to_upper = up
-
-        stall = stall + 1 if t_best <= _PIVOT_TOL else 0
-
-        z[j] += sigma * t_best
-        z[basis] -= sigma * t_best * w
-        if leave_pos is None:
-            at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
-        else:
-            z[leave_var] = hi[leave_var] if leave_to_upper else 0.0
-            at_upper[leave_var] = leave_to_upper
-            basis[leave_pos] = j
-            nonbasic[k] = leave_var
-            at_upper[j] = False
-            B, reduced = refactor()  # also refreshes against accumulated drift
+        unit = np.zeros(m)
+        unit[p] = 1.0
+        rho = B.dual(unit)  # row p of B^-1 is rho^T
+        alpha = np.concatenate([lp.G.T @ rho, rho])
+        alpha[basis] = 0.0
+        # the leaving variable rises (below 0) or falls (above hi); a
+        # variable at 0 can only rise and one at hi only fall
+        rise = 1.0 if z[basis[p]] < 0 else -1.0
+        eligible = movable & (np.where(upper, rise, -rise) * alpha > _PIVOT_TOL)
+        if not eligible.any():
+            raise SolverFailure("simplex found no entering variable")
+        ratios = np.full(n + m, np.inf)
+        ratios[eligible] = np.abs(reduced[eligible] / alpha[eligible])
+        basis[p] = np.argmin(ratios)  # the first minimum: the smallest index
 
     raise SolverFailure(f"simplex reached no optimum in {max_iter} pivots")
 
@@ -218,11 +179,13 @@ class _BlockBasis:
         w[~self.structural] = a[self.slack_rows] - self.coupling @ w_s
         return w
 
-    def dual(self, c_s: np.ndarray) -> np.ndarray:
-        """y with B^T y = c_B, for costs c_s of the basic structurals and
-        zero on every slack."""
-        y = np.zeros(self.structural.size)
-        y[self.rows] = _solve(self.block.T, c_s)
+    def dual(self, c_b: np.ndarray) -> np.ndarray:
+        """y with B^T y = c_B, for costs c_b indexed by basis position."""
+        c_t = c_b[~self.structural]
+        y = np.empty(self.structural.size)
+        y[self.slack_rows] = c_t
+        y[self.rows] = _solve(self.block.T,
+                              c_b[self.structural] - self.coupling.T @ c_t)
         return y
 
 
@@ -231,7 +194,8 @@ def _solve(M, rhs):
     try:
         return np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError as exc:
-        # a pivot on a rounding-noise entry can leave the basis singular
+        # a pivot on a rounding-noise entry, or a tight start on a general G,
+        # can make the block singular
         raise SolverFailure(f"simplex basis became singular: {exc}") from exc
 
 
@@ -248,14 +212,35 @@ def _assert_solution(lp: LinearProgram, y: np.ndarray, ftol: float):
         raise SolverFailure("simplex terminated at a point violating its bounds")
 
 
+def _demand_limited_output(op: LeontiefOperator, c: Constraints) -> np.ndarray:
+    """x*, the greatest x with x <= x_max and x <= A x + f_max: each
+    industry makes the lesser of its capacity and what its customers and
+    consumers ask for. Iterating x -> min(x_max, A x + f_max) from x_max
+    descends to it (Tarski 1955); the first iterate the map moves by at most
+    _CRASH_TOL of the largest ceiling, or the last within _CRASH_MAX_ITER
+    steps, is returned, and either bounds x* from above."""
+    tol = _CRASH_TOL * np.max(c.x_max)
+    x = c.x_max
+    for _ in range(_CRASH_MAX_ITER):
+        step = np.minimum(c.x_max, op.A @ x + c.f_max)
+        if np.max(np.abs(step - x)) <= tol:
+            break
+        x = step
+    return x
+
+
 def optimal_allocation(op: LeontiefOperator, c: Constraints,
                        objective: str) -> Allocation:
     """Solve the best-case program for one objective and assemble the
     full (x, f) pair.
 
     ``objective`` is "output" or "consumption"; the method tag records it.
+    Every principal block of L is nonsingular, so any tight set is a valid
+    start with the same optimum; x* only shortens the path, to no pivot
+    when f* = (I - A) x* >= 0.
     """
-    sol = solve(build_max_output_lp(op, c, objective))
+    lp = build_max_output_lp(op, c, objective)
+    sol = solve(lp, np.flatnonzero(_demand_limited_output(op, c) == c.x_max))
     f = np.maximum(sol.y, 0.0)
     x = op.L @ f
     return Allocation(

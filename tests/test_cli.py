@@ -451,7 +451,7 @@ class TestTracedRun:
             "largest_first.iters": 2,
             "lp.build_max_output_lp.calls": 2,
             "lp.optimal_allocation.calls": 2,
-            "lp.pivots": 8,
+            "lp.pivots": 2,
             "lp.solve.calls": 2,
             "meem.classify.calls": 1,
             "meem.solve_meem.calls": 1,

@@ -20,7 +20,15 @@ from ioshock import (
     sweep_density,
 )
 from ioshock.errors import DimensionMismatch, SolverFailure
-from ioshock.lp import LpSolution, _BlockBasis
+from ioshock.lp import (
+    _CRASH_TOL,
+    _FEAS_TOL,
+    _PIVOT_TOL,
+    LpSolution,
+    _assert_solution,
+    _BlockBasis,
+    _demand_limited_output,
+)
 
 from conftest import (
     productive_economy,
@@ -43,28 +51,115 @@ def enumerate_vertices(lp, tol=1e-9):
     m = lp.G.shape[0]
     lb = getattr(lp, "lb", np.zeros(n))
     row_lb = getattr(lp, "row_lb", np.zeros(m))
-    rows = []
-    rhs = []
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        rows += [unit, unit.copy()]
-        rhs += [lb[j], lp.ub[j]]
-    for k in range(m):
-        rows += [lp.G[k], lp.G[k]]
-        rhs += [row_lb[k], lp.row_ub[k]]
+    rows = np.vstack([np.repeat(np.eye(n), 2, axis=0), np.repeat(lp.G, 2, axis=0)])
+    rhs = np.column_stack([np.concatenate([lb, row_lb]),
+                           np.concatenate([lp.ub, lp.row_ub])]).ravel()
     best = -np.inf
-    for combo in itertools.combinations(range(len(rows)), n):
-        M = np.array([rows[i] for i in combo])
-        if abs(np.linalg.det(M)) < 1e-12:
-            continue
-        y = np.linalg.solve(M, np.array([rhs[i] for i in combo]))
-        vals = lp.G @ y
-        if (np.all(y >= lb - tol) and np.all(y <= lp.ub + tol)
-                and np.all(vals >= row_lb - tol)
-                and np.all(vals <= lp.row_ub + tol)):
-            best = max(best, float(lp.c @ y))
+    # the combinations in batches: each matrix is factored on its own, as
+    # one det and one solve call per choice would
+    combos = itertools.combinations(range(len(rows)), n)
+    while (batch := np.array(list(itertools.islice(combos, 20_000)), dtype=int)).size:
+        M = rows[batch]
+        keep = np.abs(np.linalg.det(M)) >= 1e-12
+        y = np.linalg.solve(M[keep], rhs[batch[keep]][..., np.newaxis])[..., 0]
+        vals = y @ lp.G.T
+        ok = (np.all(y >= lb - tol, axis=1) & np.all(y <= lp.ub + tol, axis=1)
+              & np.all(vals >= row_lb - tol, axis=1)
+              & np.all(vals <= lp.row_ub + tol, axis=1))
+        if ok.any():
+            best = max(best, float(np.max(y[ok] @ lp.c)))
     return best
+
+
+def reference_primal_solve(lp, max_iter=None):
+    """The package's former LP algorithm, kept as a reference: a primal
+    bounded-variable simplex from the all-zero point (full collapse) with
+    Dantzig pricing, a switch to Bland's rule after a run of degenerate
+    pivots, bound flips and a tolerance-based tie-break loop in the ratio
+    test. Independent of the dual simplex's start, pricing and ratio test."""
+    n = lp.c.size
+    m = lp.G.shape[0]
+    if max_iter is None:
+        max_iter = 50 * (n + m)
+    stall_limit = 3 * (n + m)
+
+    # Equality form: [G I] z = row_ub with ranged slack s in [0, row_ub].
+    A = np.hstack([lp.G, np.eye(m)])
+    b = np.array(lp.row_ub, dtype=float)
+    hi = np.concatenate([lp.ub, lp.row_ub])
+    cost = np.concatenate([lp.c, np.zeros(m)])
+    ftol = _FEAS_TOL * max(1.0, np.max(hi))
+    movable = hi > ftol  # a variable fixed at zero can never move
+
+    basis = np.arange(n, n + m)
+    nonbasic = np.arange(n)
+    at_upper = np.zeros(n + m, dtype=bool)
+    z = np.zeros(n + m)
+
+    def refactor():
+        # once per basis: a bound flip changes neither block nor prices
+        B = _BlockBasis(lp.G, basis)
+        N = A[:, nonbasic]
+        z[basis] = B.solve(b - N @ z[nonbasic])
+        reduced = cost[nonbasic] - N.T @ B.dual(cost[basis])
+        return B, reduced
+
+    B, reduced = refactor()
+    stall = 0
+    for it in range(1, max_iter + 1):
+        eligible = movable[nonbasic] & np.where(
+            at_upper[nonbasic], reduced < -_PIVOT_TOL, reduced > _PIVOT_TOL)
+        if not eligible.any():
+            _assert_solution(lp, z[:n], ftol)
+            return LpSolution(np.array(z[:n]), float(lp.c @ z[:n]), it - 1)
+
+        if stall > stall_limit:
+            # Bland: smallest variable index
+            k = np.flatnonzero(eligible)[np.argmin(nonbasic[eligible])]
+        else:
+            # Dantzig: largest |reduced cost|, first position on a tie
+            k = np.argmax(np.where(eligible, np.abs(reduced), -1.0))
+        j = nonbasic[k]
+
+        sigma = -1.0 if at_upper[j] else 1.0  # direction the entering var moves
+        w = B.solve(A[:, j])
+
+        # Ratio test: entering bound flip vs. first basic variable hitting a bound.
+        step = sigma * w
+        cand = np.flatnonzero(np.abs(step) > _PIVOT_TOL)
+        var = basis[cand]
+        hits_upper = step[cand] < 0  # basic var increases towards its upper bound
+        room = np.where(hits_upper, hi[var] - z[var], z[var])
+        ratios = np.maximum(room / np.abs(step[cand]), 0.0)
+        t_best = float(hi[j])
+        leave_pos = None  # position in basis, or None for a bound flip
+        leave_var = -1
+        leave_to_upper = False
+        for p, v, t_p, up in zip(cand.tolist(), var.tolist(), ratios.tolist(),
+                                 hits_upper.tolist()):
+            if t_p < t_best - _PIVOT_TOL or (
+                t_p < t_best + _PIVOT_TOL and leave_pos is not None and v < leave_var
+            ):
+                t_best = t_p
+                leave_pos = p
+                leave_var = v
+                leave_to_upper = up
+
+        stall = stall + 1 if t_best <= _PIVOT_TOL else 0
+
+        z[j] += sigma * t_best
+        z[basis] -= sigma * t_best * w
+        if leave_pos is None:
+            at_upper[j] = not at_upper[j]  # bound flip, basis unchanged
+        else:
+            z[leave_var] = hi[leave_var] if leave_to_upper else 0.0
+            at_upper[leave_var] = leave_to_upper
+            basis[leave_pos] = j
+            nonbasic[k] = leave_var
+            at_upper[j] = False
+            B, reduced = refactor()
+
+    raise SolverFailure(f"simplex reached no optimum in {max_iter} pivots")
 
 
 class TestBuilders:
@@ -161,9 +256,12 @@ class TestSolve:
             c = make_constraints(e, random_scenario(rng, e.n))
             for objective in ("output", "consumption"):
                 lp = build_max_output_lp(op, c, objective)
-                sol = solve(lp)
-                assert sol.status == "optimal"
-                assert sol.objective == pytest.approx(enumerate_vertices(lp), abs=1e-6)
+                best = enumerate_vertices(lp)
+                # from no tight row, from the crash, and the reference
+                for value in (solve(lp).objective,
+                              lp.c @ optimal_allocation(op, c, objective).f,
+                              reference_primal_solve(lp).objective):
+                    assert value == pytest.approx(best, abs=1e-6)
 
     def test_objective_nondecreasing_and_concave_in_ceilings(self):
         rng = np.random.default_rng(23)
@@ -184,13 +282,11 @@ class TestSolve:
                               0.5 * (base.f_max + other.f_max))
             assert opt(mid) >= 0.5 * (opt(base) + opt(other)) - 1e-8
 
-    def test_singular_basis_is_solver_failure(self):
-        # Found by a seeded search over small LPs with the coefficients of
-        # the LP below. Rows 4, 0, 3, 1, 2 and 5 pin every variable to 0.
-        # The sixth entering column has basic values up to 1e7, and y0's
-        # entry comes out as rounding noise of -1.1e-9, which passes the
-        # pivot tolerance; y0 leaves for row 4's slack, and the next
-        # structural block, rows 0, 2, 3, 5 by columns 3, 1, 2, 6, has rank 3.
+    def test_former_singular_primal_basis_lp_solves(self):
+        # Found by a seeded search over small LPs for the primal simplex this
+        # package used before: rows 4, 0, 3, 1, 2 and 5 pin every variable to
+        # 0, and a rounding-noise pivot of -1.1e-9 led it to a structural
+        # block of rank 3, a SolverFailure. The dual simplex solves it.
         G = np.zeros((6, 7))
         G[0, 2:4] = [1.0, -0.01]
         G[1, 4:6] = [-0.001, -0.0005]
@@ -201,8 +297,19 @@ class TestSolve:
         lp = LinearProgram(c=np.array([0.97, 1.0, 0.97, 1.0, 0.97, 0.98, 0.97]),
                            ub=np.array([2.0, 2, 1, 2, 1, 1, 1]),
                            G=G, row_ub=np.ones(6))
+        assert enumerate_vertices(lp) == 0.0
+        sol = solve(lp)
+        assert sol.objective == pytest.approx(0.0, abs=1e-12)
+        npt.assert_allclose(sol.y, np.zeros(7), atol=1e-9)
+
+    def test_singular_basis_is_solver_failure(self):
+        # rows 0 and 1 of G agree on columns 0 and 1, so a start holding
+        # both rows tight has a singular structural block
+        G = np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+        lp = LinearProgram(c=np.ones(3), ub=np.ones(3), G=G, row_ub=np.ones(3))
+        assert solve(lp).objective == pytest.approx(enumerate_vertices(lp), abs=1e-12)
         with pytest.raises(SolverFailure, match="^simplex basis became singular") as exc:
-            solve(lp)
+            solve(lp, [0, 1])
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_former_singular_basis_lp_solves(self):
@@ -226,12 +333,49 @@ class TestSolve:
         assert sol.objective == pytest.approx(2.95, rel=1e-12)
         npt.assert_allclose(sol.y, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0], atol=1e-12)
 
-    def test_exhausted_pivot_budget_is_solver_failure(self, pair2_op,
-                                                      pair2_constraints):
-        lp = build_max_output_lp(pair2_op, pair2_constraints)
-        assert solve(lp).iterations > 1
+    def test_exhausted_pivot_budget_is_solver_failure(self, chain3_op,
+                                                      chain3_constraints):
+        # from f = f_max, with no row tight, chain3 needs two pivots
+        lp = build_max_output_lp(chain3_op, chain3_constraints)
+        assert solve(lp).iterations == 2
         with pytest.raises(SolverFailure, match="no optimum in 1 pivots"):
             solve(lp, max_iter=1)
+
+    def test_no_entering_variable_is_solver_failure(self):
+        # from y = ub the row is 2e-9 over its ceiling of 0, more than the
+        # feasibility tolerance, but every entry of its row of B^-1 [G I] is
+        # 1e-10, under the pivot tolerance, so nothing may enter
+        lp = LinearProgram(c=np.ones(20), ub=np.ones(20), G=np.full((1, 20), 1e-10),
+                           row_ub=np.zeros(1))
+        with pytest.raises(SolverFailure, match="^simplex found no entering variable$"):
+            solve(lp)
+
+    def test_zero_reduced_cost_keeps_its_bound(self):
+        # From y = (0, 0, 2) the slack (4, above its ceiling 2) leaves for y0,
+        # whose reduced cost of 0 gives a ratio of 0. The slack's reduced cost
+        # is then 0 too, so it asks for neither bound and stays at the one it
+        # left for. Put at 0 instead, it would push y0 to 2 and the two
+        # would swap places at every pivot.
+        lp = LinearProgram(c=np.array([0.0, -1.0, 1.0]), ub=np.array([1.0, 2.0, 2.0]),
+                           G=np.array([[2.0, -1.0, -1.0]]), row_ub=np.array([2.0]))
+        sol = solve(lp)
+        assert sol.iterations == 1
+        npt.assert_array_equal(sol.y, [1.0, 0.0, 2.0])
+        assert sol.objective == enumerate_vertices(lp) == 2.0
+
+    def test_degenerate_ties_go_to_the_smallest_index(self):
+        # Equal costs, a repeated row and a ceiling of zero: from y = ub every
+        # row is 1 over its ceiling, so row 0's slack leaves first (the first
+        # of equal excesses). y0 and y1 tie in the ratio test and y0, the
+        # smaller index, enters; y1's reduced cost is then zero, so it keeps
+        # its upper bound. Row 2's slack leaves next, for y2.
+        G = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        lp = LinearProgram(c=np.ones(3), ub=np.ones(3), G=G,
+                           row_ub=np.array([1.0, 1.0, 0.0]))
+        sol = solve(lp, max_iter=2)
+        assert sol.iterations == 2
+        npt.assert_array_equal(sol.y, [0.0, 1.0, 0.0])
+        assert sol.objective == enumerate_vertices(lp) == 1.0
 
 
 def reference_consumption_lp(op, c):
@@ -283,14 +427,14 @@ class TestConsumptionObjective:
 
 def basis_case(m, n, k, seed):
     """G (m x n), a basis of [G I] holding k columns of G and m - k slacks
-    in shuffled positions, a right-hand side a and costs of the k basic
-    columns."""
+    in shuffled positions, a right-hand side a and costs of the m basic
+    variables, slacks included."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(m, n))
     cols = rng.choice(n, k, replace=False)
     slack_rows = rng.choice(m, m - k, replace=False)
     basis = rng.permutation(np.concatenate([cols, n + slack_rows]))
-    return G, basis, rng.normal(size=m), rng.normal(size=k)
+    return G, basis, rng.normal(size=m), rng.normal(size=m)
 
 
 @st.composite
@@ -317,16 +461,17 @@ class TestBlockBasis:
     @example(basis_case(6, 6, 6, 3))
     @example(basis_case(1, 1, 1, 4))
     def test_solves_full_basis(self, drawn):
-        G, basis, a, c_s = drawn
+        G, basis, a, c_B = drawn
         m, n = G.shape
         B = np.hstack([G, np.eye(m)])[:, basis]
-        c_B = np.zeros(m)
-        c_B[basis < n] = c_s
         block = _BlockBasis(G, basis)
         w = block.solve(a)
-        y = block.dual(c_s)
+        y = block.dual(c_B)
         assert solves(B, w, a)
         assert solves(B.T, y, c_B)
+        # a unit cost gives a row of B^-1, as the dual ratio test uses it
+        for p in range(m):
+            assert solves(B.T, block.dual(np.eye(m)[p]), np.eye(m)[p])
 
 
 def thinned(e, target, seed):
@@ -340,43 +485,81 @@ def thinned(e, target, seed):
 
 
 # (seed, n, link density, thinned to, alpha_supply, program, pivots,
-# objective) of seeded economies. A change to pricing, to the ratio test's
-# tie-breaks or to how the basis is solved shows up as another pivot count;
-# the objective may move only in its last bits.
+# objective) of seeded economies, solved by optimal_allocation from its
+# crash. A change to the crash, to the leaving or entering rule or to how
+# the basis is solved shows up as another pivot count; the objective may
+# move only in its last bits.
 PINNED = [
-    (0, 56, 0.8, None, 0.0, "output", 56, 383.9680408274691),
-    (0, 56, 0.8, None, 0.0, "consumption", 56, 219.8902044806617),
-    (0, 56, 0.8, None, 0.25, "output", 59, 378.719454617614),
-    (0, 56, 0.8, None, 0.25, "consumption", 63, 216.47194552459925),
-    (0, 56, 0.8, None, 0.5, "output", 68, 333.44236824922916),
-    (0, 56, 0.8, None, 0.5, "consumption", 68, 194.2138416532887),
-    (0, 56, 0.8, None, 0.75, "output", 71, 270.3550332765842),
-    (0, 56, 0.8, None, 0.75, "consumption", 59, 161.852318731715),
-    (0, 56, 0.8, None, 1.0, "output", 57, 185.88676544406127),
-    (0, 56, 0.8, None, 1.0, "consumption", 55, 111.76940138990646),
-    (0, 56, 0.8, 0.1, 1.0, "output", 62, 200.9961557844398),
-    (1, 120, 0.3, None, 0.5, "output", 143, 920.2328565199289),
-    # 181 of these 295 pivots are bound flips that keep the basis
-    (1, 250, 0.3, None, 0.5, "output", 295, 1844.563978499186),
+    (0, 56, 0.8, None, 0.0, "output", 0, 383.9680408274691),
+    (0, 56, 0.8, None, 0.0, "consumption", 0, 219.8902044806617),
+    (0, 56, 0.8, None, 0.25, "output", 0, 378.719454617614),
+    (0, 56, 0.8, None, 0.25, "consumption", 0, 216.47194552459925),
+    (0, 56, 0.8, None, 0.5, "output", 7, 333.44236824922916),
+    (0, 56, 0.8, None, 0.5, "consumption", 11, 194.2138416532887),
+    (0, 56, 0.8, None, 0.75, "output", 13, 270.3550332765842),
+    (0, 56, 0.8, None, 0.75, "consumption", 13, 161.852318731715),
+    (0, 56, 0.8, None, 1.0, "output", 33, 185.88676544406127),
+    (0, 56, 0.8, None, 1.0, "consumption", 30, 111.76940138990646),
+    (0, 56, 0.8, 0.1, 1.0, "output", 2, 200.9961557844398),
+    (1, 120, 0.3, None, 0.5, "output", 0, 920.2328565199289),
+    (1, 250, 0.3, None, 0.5, "output", 7, 1844.563978499186),
 ]
+
+
+def pinned_case(seed, n, density, thin, alpha, program):
+    """The operator, constraints and program of one PINNED row."""
+    e = sized_economy(seed, n, density)
+    if thin is not None:
+        e = thinned(e, thin, seed)
+    # the shocks of the benchmark's inputs
+    shocks = random_scenario(np.random.default_rng([seed, 1]), n, 0.8, 0.5)
+    op = coefficients(e)
+    c = make_constraints(e, shocks.with_alphas(alpha, 1.0))
+    return op, c, build_max_output_lp(op, c, program)
+
+
+PINNED_IDS = [f"n{n}-d{thin or density}-a{a}-{p}"
+              for _, n, density, thin, a, p, *_ in PINNED]
 
 
 class TestPinnedPivots:
     @pytest.mark.parametrize(
-        "seed,n,density,thin,alpha,program,pivots,objective", PINNED,
-        ids=[f"n{n}-d{thin or density}-a{a}-{p}" for _, n, density, thin, a, p, *_ in PINNED])
+        "seed,n,density,thin,alpha,program,pivots,objective", PINNED, ids=PINNED_IDS)
     def test_pivots_and_objective(self, seed, n, density, thin, alpha, program,
                                   pivots, objective):
-        e = sized_economy(seed, n, density)
-        if thin is not None:
-            e = thinned(e, thin, seed)
-        # the shocks of the benchmark's inputs
-        shocks = random_scenario(np.random.default_rng([seed, 1]), n, 0.8, 0.5)
-        c = make_constraints(e, shocks.with_alphas(alpha, 1.0))
-        sol = solve(build_max_output_lp(coefficients(e), c, program))
-        assert sol.status == "optimal"
-        assert sol.iterations == pivots
-        assert sol.objective == pytest.approx(objective, rel=1e-12, abs=0)
+        op, c, lp = pinned_case(seed, n, density, thin, alpha, program)
+        a = optimal_allocation(op, c, program)
+        assert a.iterations == pivots
+        assert lp.c @ a.f == pytest.approx(objective, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", [row[:6] for row in PINNED], ids=PINNED_IDS)
+    def test_matches_reference_primal(self, case):
+        op, c, lp = pinned_case(*case)
+        assert lp.c @ optimal_allocation(op, c, case[-1]).f == pytest.approx(
+            reference_primal_solve(lp).objective, rel=1e-12, abs=0)
+
+
+class TestDemandLimitedOutput:
+    """x*, the greatest fixed point of x -> min(x_max, A x + f_max), bounds
+    the best case from above and is its optimum when f* = (I - A) x* >= 0."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.sampled_from([0.3, 0.8]))
+    def test_bounds_the_best_case(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        e = productive_economy(rng, n, density)
+        op = coefficients(e)
+        c = make_constraints(e, random_scenario(rng, n))
+        x = _demand_limited_output(op, c)
+        step = np.minimum(c.x_max, op.A @ x + c.f_max)
+        assert np.max(np.abs(step - x)) <= _CRASH_TOL * np.max(c.x_max)
+        output = solve(build_max_output_lp(op, c)).objective
+        assert x.sum() >= output * (1 - 1e-12)
+        f = (np.eye(n) - op.A) @ x
+        if np.all(f >= 0):
+            assert x.sum() == pytest.approx(output, rel=1e-12, abs=1e-12)
+            consumption = solve(build_max_output_lp(op, c, "consumption")).objective
+            assert f.sum() == pytest.approx(consumption, rel=1e-12, abs=1e-12)
 
 
 class TestOptimalAllocation:
@@ -414,7 +597,7 @@ class TestOptimalAllocation:
                                       pair2_op):
         # a returned point above an output ceiling must not be flagged
         # feasible: f = f_max gives x = L f_max, which breaks x_max here
-        def over_ceiling(lp, max_iter=None):
+        def over_ceiling(lp, tight=(), max_iter=None):
             return LpSolution(np.array(pair2_constraints.f_max), 0.0, 0)
 
         monkeypatch.setattr("ioshock.lp.solve", over_ceiling)
