@@ -69,12 +69,12 @@ def _grid_values(text, flag="grid"):
     if (stop - start) * step < 0:
         # the grid would be empty or hold only the start
         raise ParseError(f"{flag} {text!r}: step {step} leads away from stop {stop}")
-    span = (stop - start) / step
-    # compared as a float first: round() of an overflowed, infinite span raises
-    if not span < MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+    # the tolerance keeps a stop that the division lands just short of
+    span = (stop - start) / step + 1e-9
+    # also rejects an overflowed, infinite span, which floor() cannot take
+    if not span < MAX_GRID_POINTS:
         raise ParseError(f"{flag} {text!r}: more than {MAX_GRID_POINTS} points")
-    count = round(span) + 1
-    return [round(start + k * step, 12) for k in range(count)]
+    return [round(start + k * step, 12) for k in range(math.floor(span) + 1)]
 
 
 def _check_numeric_flags(args):
@@ -153,7 +153,11 @@ def build_parser():
 def _methods(arg):
     if arg == "all":
         return ALL_METHODS
-    return tuple(m.strip() for m in arg.split(",") if m.strip())
+    methods = tuple(m.strip() for m in arg.split(",") if m.strip())
+    if not methods or not set(methods) <= set(ALL_METHODS):
+        raise ParseError(f"--methods {arg!r}: expected 'all' or a comma-separated "
+                         f"list of {', '.join(ALL_METHODS)}")
+    return methods
 
 
 def _not_utf8(path, exc):
@@ -180,16 +184,14 @@ def _parse(parse, path, *args, **kwargs):
         raise _not_utf8(path, exc) from None
 
 
-def _load(args, need_shocks=True):
+def _load(args):
     economy = _parse(parse_economy_csv, args.economy)
     scenario = None
-    if getattr(args, "shocks", None):
+    if args.shocks is not None:
         scenario = _parse(
             parse_shocks_csv, args.shocks, economy.labels,
             percent=args.percent, allow_missing=args.allow_missing,
         )
-    elif need_shocks:
-        raise ParseError("a shock file is required")
     return economy, scenario
 
 
@@ -208,7 +210,7 @@ def _provenance(args, extra):
 
 
 def _cmd_validate(args):
-    economy, scenario = _load(args, need_shocks=False)
+    economy, scenario = _load(args)
     op = coefficients(economy)
     m = metrics(economy, op)
     report = {
@@ -312,6 +314,9 @@ def _cmd_sweep_scale(args):
 def _cmd_sweep_density(args):
     economy, scenario = _load(args)
     scenario = _scenario_at(scenario, args)
+    if args.removal_mode == "smallest_first" and args.reps > 1:
+        raise ParseError(f"--reps {args.reps}: --removal-mode smallest_first removes "
+                         "one fixed set of links, so it takes one replicate")
     densities = _unit_grid(args.densities, "--densities")
     highest = max(densities)
     if highest > economy.density + 1e-12:

@@ -71,19 +71,6 @@ def _bottleneck(r, has_supplier):
         axis=0, initial=1.0)
 
 
-def _padded_rankings(A, rankings):
-    """Rankings as a padded (n, max out-degree) layout: customer indices
-    and their coefficients A[i, order]. Padding is customer 0 at
-    coefficient 0, which neither draws on capacity nor bounds anyone."""
-    n = A.shape[0]
-    sizes = np.array([order.size for order in rankings])
-    filled = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    cols = np.zeros(filled.shape, dtype=np.intp)
-    cols[filled] = np.concatenate(rankings)  # row-major, so in rank order
-    coef = np.where(filled, A[np.arange(n)[:, None], cols], 0.0)
-    return cols, coef
-
-
 def _priority_bottleneck(d, avail, cols, coef):
     """Bottlenecks when suppliers serve intermediate customers in rank order.
 
@@ -92,8 +79,8 @@ def _priority_bottleneck(d, avail, cols, coef):
     by its own demand, so total grants never exceed availability. The
     customer's binding constraint is its worst ratio across suppliers.
     Row i of ``cols``/``coef`` is supplier i's ranking (see
-    ``_padded_rankings``). The row-wise cumsum adds in rank order, so the
-    result is bitwise that of serving one supplier at a time.
+    ``largest_first_rankings``). The row-wise cumsum adds in rank order, so
+    the result is bitwise that of serving one supplier at a time.
     """
     w = coef * d[cols]
     cum_before = np.zeros_like(w)
@@ -167,8 +154,7 @@ def ration_mixed(e: Economy, op: LeontiefOperator, c: Constraints,
     )
 
 
-def _ranked_result(e, op, c, opts, rankings, method):
-    cols, coef = _padded_rankings(op.A, rankings)
+def _ranked_result(e, op, c, opts, cols, coef, method):
     return _iterate(
         e, op, c, opts,
         lambda d, avail: _priority_bottleneck(d, avail, cols, coef),
@@ -176,41 +162,48 @@ def _ranked_result(e, op, c, opts, rankings, method):
     )
 
 
-def largest_first_rankings(op: LeontiefOperator, d1: np.ndarray):
-    """Per-supplier customer order by initial demand size, frozen at t=1.
+def _ranked_layout(A, order, degree):
+    """Cut ``order``, whose row i lists supplier i's ``degree[i]`` customers
+    first, to the widest ranking and gather its coefficients. The padding
+    falls on non-customers, at coefficient 0: it draws on no capacity and
+    bounds no one."""
+    cols = order[:, :degree.max(initial=0)].copy()  # lets the n x n order go
+    return cols, np.take_along_axis(A, cols, axis=1)
 
-    Ties break by ascending customer index.
-    """
-    rankings = []
-    for i in range(op.n):
-        customers = np.flatnonzero(op.A[i] > 0)
-        weights = op.A[i, customers] * d1[customers]
-        order = customers[np.lexsort((customers, -weights))]
-        rankings.append(order)
-    return rankings
+
+def largest_first_rankings(op: LeontiefOperator, d1: np.ndarray):
+    """Per-supplier customer order by initial demand size, frozen at t=1,
+    as the padded layout ``(cols, coef)``; the stable sort breaks ties by
+    ascending customer index."""
+    customer = op.A > 0
+    key = np.where(customer, op.A * -d1, np.inf)
+    return _ranked_layout(op.A, np.argsort(key, axis=1, kind="stable"),
+                          np.count_nonzero(customer, axis=1))
 
 
 def random_rankings(op: LeontiefOperator, seed):
-    """Per-supplier random customer orders, drawn once from the given seed."""
+    """Per-supplier random customer orders, drawn once from the given seed,
+    in the layout of ``largest_first_rankings``."""
     rng = np.random.default_rng(seed)
-    rankings = []
-    for i in range(op.n):
-        customers = np.flatnonzero(op.A[i] > 0)
-        rankings.append(rng.permutation(customers))
-    return rankings
+    customer = op.A > 0
+    order = np.argsort(~customer, axis=1, kind="stable")  # customers first, by index
+    degree = np.count_nonzero(customer, axis=1)
+    for row, k in zip(order, degree):
+        rng.shuffle(row[:k])  # in place, the draws of rng.permutation
+    return _ranked_layout(op.A, order, degree)
 
 
 def ration_largest_first(e: Economy, op: LeontiefOperator, c: Constraints,
                          opts: RationingOptions = RationingOptions()) -> Allocation:
     """Serve larger intermediate customers first; final consumers last."""
     _check_dims(e, op, c)
-    rankings = largest_first_rankings(op, op.L @ c.f_max)
-    return _ranked_result(e, op, c, opts, rankings, "largest_first")
+    cols, coef = largest_first_rankings(op, op.L @ c.f_max)
+    return _ranked_result(e, op, c, opts, cols, coef, "largest_first")
 
 
 def ration_random(e: Economy, op: LeontiefOperator, c: Constraints, seed,
                   opts: RationingOptions = RationingOptions()) -> Allocation:
     """Serve intermediate customers in a seeded random order, consumers last."""
     _check_dims(e, op, c)
-    rankings = random_rankings(op, seed)
-    return _ranked_result(e, op, c, opts, rankings, "random")
+    cols, coef = random_rankings(op, seed)
+    return _ranked_result(e, op, c, opts, cols, coef, "random")

@@ -57,6 +57,15 @@ class TestGridValues:
         assert len(vals) == 11
         assert vals[3] == 0.3
 
+    @pytest.mark.parametrize("text,values", [
+        ("0:0.5:0.3", [0.0, 0.3]),
+        ("0:1:0.6", [0.0, 0.6]),
+        # 0.3 / 0.1 is 2.9999999999999996, yet the stop is on the grid
+        ("0:0.3:0.1", [0.0, 0.1, 0.2, 0.3]),
+    ])
+    def test_never_passes_stop(self, text, values):
+        assert _grid_values(text) == values
+
     def test_largest_allowed_grid(self):
         assert len(_grid_values(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
 
@@ -105,6 +114,8 @@ class TestNumericFlags:
         ("run", "--tol", "0"),
         ("run", "--tol", "nan"),
         ("run", "--tol", "inf"),
+        ("run", "--methods", "oracle"),
+        ("run", "--methods", ""),
     ])
     def test_bad_value_exits_one(self, files, capsys, command, flag, value):
         argv = [command, "--economy", files["economy"], "--shocks",
@@ -368,10 +379,14 @@ class TestRun:
         # allocations.csv holds replicate 0 only: 8 methods x 3 industries
         assert len(allocation) == 24
 
-    def test_unknown_method_exits_two(self, files, capsys):
+    def test_unknown_method_exits_one(self, files, capsys):
         assert run_command(["run", "--economy", files["economy"],
                             "--shocks", files["shocks"], "--out", files["out"],
-                            "--methods", "oracle"]) == 2
+                            "--methods", "direct,oracle"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --methods 'direct,oracle': expected 'all' or a comma-separated "
+            "list of direct, lp_output, lp_consumption, proportional, mixed, "
+            "largest_first, random, meem\n")
 
     def test_reruns_byte_identical(self, tmp_path, files, capsys):
         argv = ["run", "--economy", files["economy"], "--shocks",
@@ -413,6 +428,15 @@ class TestSweepDensity:
         assert prov["removal_mode"] == "smallest_first"
         assert len(rows) == 1
         assert float(rows[0]["total_output"]) == pytest.approx(16.0)
+
+    def test_smallest_first_rejects_reps(self, files, capsys):
+        assert run_command(["sweep-density", "--economy", files["economy"],
+                            "--shocks", files["shocks"], "--densities", "0",
+                            "--removal-mode", "smallest_first", "--reps", "3",
+                            "--out", files["out"]]) == 1
+        assert capsys.readouterr().err == (
+            "error: --reps 3: --removal-mode smallest_first removes one fixed "
+            "set of links, so it takes one replicate\n")
 
     def test_density_above_current_exits_one(self, files, capsys):
         assert run_command(["sweep-density", "--economy", files["economy"],

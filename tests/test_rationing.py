@@ -27,7 +27,6 @@ from ioshock import (
 from ioshock.rationing import (
     _bottleneck,
     _mixed_ratios,
-    _padded_rankings,
     _priority_bottleneck,
     _proportional_ratios,
     largest_first_rankings,
@@ -162,14 +161,16 @@ class TestRandom:
         npt.assert_allclose(res.x, pair2.x, rtol=1e-12)
 
     def test_chain3_reversed_ranking(self, chain3, chain3_op, chain3_constraints):
-        assert list(random_rankings(chain3_op, CHAIN3_SEED_32)[0]) == [2, 1]
+        cols, _ = random_rankings(chain3_op, CHAIN3_SEED_32)
+        assert list(cols[0]) == [2, 1]
         res = ration_random(chain3, chain3_op, chain3_constraints, CHAIN3_SEED_32)
         npt.assert_allclose(res.x, [5.0, 4.5, 8.0], atol=1e-8)
         npt.assert_allclose(res.f, [0.0, 4.5, 8.0], atol=1e-8)
 
     def test_chain3_natural_ranking_matches_largest_first(
             self, chain3, chain3_op, chain3_constraints):
-        assert list(random_rankings(chain3_op, CHAIN3_SEED_23)[0]) == [1, 2]
+        cols, _ = random_rankings(chain3_op, CHAIN3_SEED_23)
+        assert list(cols[0]) == [1, 2]
         res = ration_random(chain3, chain3_op, chain3_constraints, CHAIN3_SEED_23)
         ref = ration_largest_first(chain3, chain3_op, chain3_constraints)
         npt.assert_array_equal(res.x, ref.x)
@@ -233,6 +234,24 @@ def loop_bottleneck(r, A):
     return s
 
 
+def loop_largest_first(A, d1):
+    """Reference: one lexsort per supplier, by weight A[i, j] * d1[j]
+    descending, ties by customer index; a list of customer arrays."""
+    rankings = []
+    for i in range(A.shape[0]):
+        customers = np.flatnonzero(A[i] > 0)
+        weights = A[i, customers] * d1[customers]
+        rankings.append(customers[np.lexsort((customers, -weights))])
+    return rankings
+
+
+def loop_random(A, seed):
+    """Reference: one permutation of each supplier's customers, in supplier
+    order, from one generator; this fixes the random stream."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(np.flatnonzero(A[i] > 0)) for i in range(A.shape[0])]
+
+
 def loop_priority_bottleneck(d, avail, A, rankings):
     """Reference: each supplier grants capacity down its ranking in turn."""
     n = A.shape[0]
@@ -290,6 +309,9 @@ class TestKernels:
     # a tie in largest-first weights, broken by customer index
     @example(case([[0.0, 0.5, 0.5], [0.2, 0.0, 0.0], [0.3, 0.0, 0.0]],
                   [1.0, 2.0, 2.0], [1.5, 0.1, 0.1]))
+    # eleven tied customers, which an unstable sort reorders
+    @example(case(np.pad(np.full((1, 11), 0.25), ((0, 11), (1, 0))),
+                  np.ones(12), np.full(12, 1.0)))
     # all-zero A: no supplier has a customer
     @example(case(np.zeros((4, 4)), [1.0, 0.0, 2.0, 3.0], [0.0, 1.0, 0.0, 5.0]))
     # availability above total demand
@@ -297,11 +319,19 @@ class TestKernels:
     def test_match_loop_forms(self, drawn):
         A, d, avail, seed = drawn
         op = SimpleNamespace(n=A.shape[0], A=A)
-        rankings = (largest_first_rankings(op, d) if seed is None
-                    else random_rankings(op, seed))
-        assert np.array_equal(
-            _priority_bottleneck(d, avail, *_padded_rankings(A, rankings)),
-            loop_priority_bottleneck(d, avail, A, rankings))
+        if seed is None:
+            cols, coef = largest_first_rankings(op, d)
+            rankings = loop_largest_first(A, d)
+        else:
+            cols, coef = random_rankings(op, seed)
+            rankings = loop_random(A, seed)
+        real = coef > 0
+        # row-major, the real entries read in rank order, supplier by supplier
+        assert np.array_equal(real.sum(axis=1), [r.size for r in rankings])
+        assert np.array_equal(cols[real], np.concatenate(rankings))
+        assert np.all(coef[~real] == 0.0)
+        assert np.array_equal(_priority_bottleneck(d, avail, cols, coef),
+                              loop_priority_bottleneck(d, avail, A, rankings))
         for r in (_proportional_ratios(d, avail), _mixed_ratios(d, avail, A)):
             assert np.array_equal(_bottleneck(r, A > 0), loop_bottleneck(r, A))
 
