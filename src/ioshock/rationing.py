@@ -19,6 +19,10 @@ the allocation is feasible by construction (ceilings hold and x = L f).
 Shock patterns that leave a supplier permanently promising more than
 its input-constrained production can deliver never reach x = d; they
 are reported as non-converged rather than as a spurious equilibrium.
+Such a run stops as ``stalled`` once its best residual fails to halve
+over a window of sweeps (or once demand is stationary while the gap
+does not close), instead of sweeping on to ``max_iter``; each result's
+``stop_reason`` is ``converged``, ``stalled`` or ``max_iter``.
 
 Delivered consumption is capped at its ceiling; the transient excess a
 priority rule can produce is treated as discarded. Without the cap the
@@ -39,6 +43,12 @@ from .shocks import Allocation, Constraints, allocation_is_feasible
 
 #: RNG used for random rationing; recorded in outputs for reproducibility.
 GENERATOR_NAME = "numpy.random.Generator(PCG64)"
+
+#: a run stops as stalled when, at a check every STALL_WINDOW sweeps, its
+#: best residual so far has not fallen below STALL_FACTOR times the best
+#: at the previous check
+STALL_WINDOW = 50
+STALL_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,11 @@ def _priority_bottleneck(d, avail, cols, coef):
     remaining = np.maximum(avail[:, None] - cum_before, 0.0)
     with np.errstate(divide="ignore"):
         r = np.where(w > 0, remaining / np.where(w > 0, w, 1.0), np.inf)
-    s = np.ones(d.shape)
-    np.minimum.at(s, cols, np.minimum(r, 1.0))
-    return s
+    # each row of cols holds distinct customers, so one scatter into a grid
+    # of ones puts every ratio in its own cell; min is exact in any order
+    grid = np.ones((d.size, d.size))
+    np.put_along_axis(grid, cols, np.minimum(r, 1.0), axis=1)
+    return grid.min(axis=0, initial=1.0)
 
 
 def _iterate(e, op, c, opts, bottleneck, method):
@@ -98,7 +110,7 @@ def _iterate(e, op, c, opts, bottleneck, method):
     floor = 1e-12 * e.x.sum()
     d = L @ c.f_max
     x = f = None
-    residual = gap_prev = np.inf
+    residual = gap_prev = best = checked = np.inf
     for t in range(1, opts.max_iter + 1):
         s = bottleneck(d, c.x_max)
         x = np.minimum(c.x_max, s * d)
@@ -117,11 +129,19 @@ def _iterate(e, op, c, opts, bottleneck, method):
             # an overcommitted state short of x = d
             break
         gap_prev = gap
+        best = min(best, residual)
+        if t % STALL_WINDOW == 0:
+            if best > STALL_FACTOR * checked:
+                # the residual wanders without closing in on zero
+                break
+            checked = best
     converged = residual <= opts.tol
     return Allocation(
         x=x, f=f, method=method,
         feasible=converged and allocation_is_feasible(x, f, op, c, tol=10 * opts.tol),
         iterations=t, converged=converged, residual=residual,
+        stop_reason=("converged" if converged
+                     else "max_iter" if t == opts.max_iter else "stalled"),
     )
 
 

@@ -55,7 +55,9 @@ class Constraints:
 class Allocation:
     """A candidate (x, f) pair with method provenance and how its method
     ended: the iteration count, whether it converged, and the final
-    residual of an iterated method (NaN for the others)."""
+    residual of an iterated method (NaN for the others). ``stop_reason``
+    says why a rationing run stopped: ``converged``, ``stalled`` or
+    ``max_iter``; it is empty for the other methods."""
 
     x: np.ndarray
     f: np.ndarray
@@ -64,6 +66,7 @@ class Allocation:
     iterations: int = 0
     converged: bool = True
     residual: float = math.nan
+    stop_reason: str = ""
 
 
 def supply_shock(rli, essential):

@@ -196,6 +196,17 @@ class TestValidate:
         assert capsys.readouterr().err == f"error: {path}: {reason}\n"
 
     @pytest.mark.parametrize("which", ["economy", "shocks"])
+    def test_empty_path_names_the_flag(self, files, capsys, which):
+        try:
+            open("", encoding="utf-8").close()
+        except OSError as exc:
+            reason = exc.strerror
+        paths = dict(files, **{which: ""})
+        assert run_command(["validate", "--economy", paths["economy"],
+                            "--shocks", paths["shocks"]]) == 1
+        assert capsys.readouterr().err == f"error: --{which} '': {reason}\n"
+
+    @pytest.mark.parametrize("which", ["economy", "shocks"])
     def test_non_utf8_input_exits_one(self, tmp_path, files, capsys, which):
         text = {"economy": ECONOMY, "shocks": SHOCKS}[which]
         lines = text.encode().splitlines(keepends=True)
@@ -209,6 +220,13 @@ class TestValidate:
             f"error: {bad}:3: byte 0xff is not UTF-8 (invalid start byte)\n")
 
 
+def child_env():
+    """The environment of a child process that imports this ioshock."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ioshock.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 class TestStartup:
     def test_cli_imports_no_scipy(self):
         """A CLI process loads numpy only: scipy is the benchmark's oracle,
@@ -220,11 +238,9 @@ class TestStartup:
                  "code = ioshock.cli.run_command(['validate', '--economy', sys.argv[1]])\n"
                  "print(loaded)\n"
                  "sys.exit(code)\n")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ioshock.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", child, str(chain3)],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=child_env(),
+                              timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -241,13 +257,25 @@ class TestStartup:
                 "--shocks", str(data / "chain3_shocks.csv"),
                 "--methods", "direct,lp_output,lp_consumption",
                 "--alpha-supply", "0:1:0.5", "--out", str(tmp_path / "out")]
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ioshock.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-c", child, *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=child_env(),
+                              timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("economy,code", [("chain3.csv", 0), ("absent.csv", 1)])
+    def test_main_exits_as_run_command_returns(self, capsys, economy, code):
+        """The console entry point, run as a program: the exit status is
+        run_command's return value, and its output is complete."""
+        argv = ["validate", "--economy",
+                str(Path(__file__).resolve().parents[1] / "demos" / "data" / economy)]
+        assert run_command(argv) == code
+        expected = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ioshock.cli import main; main()", *argv],
+            capture_output=True, text=True, env=child_env(), timeout=60)
+        assert proc.returncode == code
+        assert (proc.stdout, proc.stderr) == (expected.out, expected.err)
 
 
 class TestShock:

@@ -12,6 +12,7 @@ from ioshock import (
     RationingOptions,
     ShockScenario,
     SweepSpec,
+    allocation_is_feasible,
     build_economy,
     coefficients,
     make_constraints,
@@ -25,6 +26,7 @@ from ioshock import (
     total_demand,
 )
 from ioshock.rationing import (
+    STALL_WINDOW,
     _bottleneck,
     _mixed_ratios,
     _priority_bottleneck,
@@ -33,7 +35,7 @@ from ioshock.rationing import (
     random_rankings,
 )
 
-from conftest import random_economy, random_scenario
+from conftest import random_economy, random_scenario, sized_economy
 
 PAIR2_MIXED_X = np.array([330.0, 136.0]) / 37.0
 
@@ -133,6 +135,68 @@ class TestLargestFirst:
         assert not res.converged
         assert res.iterations == 1
         assert res.residual > 1e-10
+
+
+def seeded_case(seed):
+    """The economy and ceilings of ``random_economy`` and ``random_scenario``
+    drawn from one generator of the given seed."""
+    rng = np.random.default_rng(seed)
+    e = random_economy(rng)
+    op = coefficients(e)
+    return e, op, make_constraints(e, random_scenario(rng, e.n))
+
+
+class TestStopReason:
+    """Every run ends in bounded time and says why."""
+
+    #: most sweeps any run of the sparse set below may take: 74 of its 80
+    #: runs stall and stop by sweep 100, and the slowest converged run
+    #: takes 266
+    SWEEP_BOUND = 500
+
+    def test_sparse_runs_end_within_a_bound(self):
+        reasons = set()
+        for seed in range(10):
+            for density in (0.05, 0.1):
+                e = sized_economy(seed, 56, density)
+                op = coefficients(e)
+                c = make_constraints(e, random_scenario(np.random.default_rng(seed), e.n))
+                runs = [algo(e, op, c) for algo in ALGORITHMS]
+                runs.append(ration_random(e, op, c, seed))
+                for a in runs:
+                    assert a.iterations <= self.SWEEP_BOUND
+                    assert a.stop_reason in ("converged", "stalled")
+                    assert a.converged == (a.stop_reason == "converged")
+                    if a.converged:
+                        assert allocation_is_feasible(a.x, a.f, op, c, tol=1e-9)
+                    reasons.add((a.method, a.stop_reason))
+        # each rule both converges and stalls somewhere in the set
+        assert reasons == {(m, r) for m in ("proportional", "mixed", "largest_first",
+                                            "random")
+                           for r in ("converged", "stalled")}
+
+    def test_converged(self, chain3, chain3_op, chain3_constraints):
+        res = ration_proportional(chain3, chain3_op, chain3_constraints)
+        assert res.converged and res.stop_reason == "converged"
+
+    def test_stalled(self):
+        # the largest-first residual is still 1.0 after 20,000 sweeps;
+        # without the window test this run sweeps on to max_iter
+        e, op, c = seeded_case(28)
+        res = ration_largest_first(e, op, c)
+        assert res.stop_reason == "stalled" and not res.converged
+        assert res.iterations == 2 * STALL_WINDOW
+        assert res.residual == 1.0
+
+    def test_max_iter(self):
+        # a proportional run that converges after several windows, each
+        # halving its residual, is cut short by a small max_iter
+        e, op, c = seeded_case(113)
+        full = ration_proportional(e, op, c)
+        assert full.converged and full.iterations > 3 * STALL_WINDOW
+        res = ration_proportional(e, op, c, RationingOptions(max_iter=120))
+        assert res.stop_reason == "max_iter" and not res.converged
+        assert res.iterations == 120 and res.residual > 1e-10
 
 
 class TestOptions:
