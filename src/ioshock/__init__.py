@@ -47,7 +47,6 @@ from .lp import (
 )
 from .meem import MeemPartition, MeemSolution, check_feasibility, classify, solve_meem
 from .rationing import (
-    RationingOptions,
     ration_largest_first,
     ration_mixed,
     ration_proportional,

@@ -38,7 +38,7 @@ from .experiments import (
     sweep_scale,
 )
 from .fileio import file_digest, parse_economy_csv, parse_shocks_csv, write_results
-from .rationing import GENERATOR_NAME, RationingOptions
+from .rationing import GENERATOR_NAME, MAX_ITER, TOL
 from .shocks import aggregate_shocks, make_constraints
 
 _VALIDATION_ERRORS = (
@@ -84,9 +84,6 @@ def _check_numeric_flags(args):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ParseError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
-    tol = getattr(args, "tol", None)
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ParseError(f"--tol must be finite and > 0, got {tol}")
 
 
 def _add_inputs(p):
@@ -112,9 +109,7 @@ def _add_common(p):
     p.add_argument("--samples", type=int, default=100,
                    help="random-rationing samples")
     p.add_argument("--reps", type=int, default=1, help="replicates per grid point")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="rationing convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=10**6,
+    p.add_argument("--max-iter", type=int, default=MAX_ITER,
                    help="rationing iteration cap")
     p.add_argument("--out", default="out", help="output directory")
 
@@ -206,7 +201,7 @@ def _provenance(args, extra):
         "economy_sha256": file_digest(args.economy),
         "shocks_sha256": file_digest(args.shocks),
         "seed": args.seed,
-        "tol": args.tol,
+        "tol": TOL,
         "max_iter": args.max_iter,
         **extra,
     }
@@ -270,9 +265,7 @@ def _spec(args, grid, **extra):
     """The SweepSpec of an evaluation command over ``grid``."""
     return SweepSpec(methods=_methods(args.methods), grid=grid,
                      repetitions=args.reps, random_samples=args.samples,
-                     master_seed=args.seed,
-                     options=RationingOptions(tol=args.tol, max_iter=args.max_iter),
-                     **extra)
+                     master_seed=args.seed, max_iter=args.max_iter, **extra)
 
 
 def _write(args, economy, records, constraints=None, allocations=(), **extra):

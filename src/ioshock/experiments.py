@@ -24,7 +24,7 @@ from .errors import IoShockError
 from .lp import optimal_allocation
 from .meem import classify, solve_meem
 from .rationing import (
-    RationingOptions,
+    MAX_ITER,
     ration_largest_first,
     ration_mixed,
     ration_proportional,
@@ -55,7 +55,8 @@ class SweepSpec:
     #: samples per replicate for the random-rationing method
     random_samples: int = 1
     master_seed: int = 0
-    options: RationingOptions = RationingOptions()
+    #: rationing sweep cap
+    max_iter: int = MAX_ITER
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -126,7 +127,7 @@ def _removal_seed(master, grid_index, replicate):
                                    int(replicate), 1])
 
 
-def run_method(method, e, op, c, opts=RationingOptions(), seed=None):
+def run_method(method, e, op, c, max_iter=MAX_ITER, seed=None):
     """Evaluate one propagation method into an Allocation."""
     if method == "direct":
         return direct_allocation(op, c)
@@ -135,13 +136,13 @@ def run_method(method, e, op, c, opts=RationingOptions(), seed=None):
     if method == "lp_consumption":
         return optimal_allocation(op, c, "consumption")
     if method == "proportional":
-        return ration_proportional(e, op, c, opts)
+        return ration_proportional(e, op, c, max_iter)
     if method == "mixed":
-        return ration_mixed(e, op, c, opts)
+        return ration_mixed(e, op, c, max_iter)
     if method == "largest_first":
-        return ration_largest_first(e, op, c, opts)
+        return ration_largest_first(e, op, c, max_iter)
     if method == "random":
-        return ration_random(e, op, c, seed, opts)
+        return ration_random(e, op, c, seed, max_iter)
     if method == "meem":
         sol = solve_meem(e, op, c, classify(e, c))
         return Allocation(sol.x, sol.f, "meem", sol.feasible)
@@ -177,7 +178,7 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicates,
                 seed = (_sample_seed(spec.master_seed, grid_index, rep, k)
                         if method == "random" else None)
                 try:
-                    allocation = run_method(method, e, op, c, spec.options, seed)
+                    allocation = run_method(method, e, op, c, spec.max_iter, seed)
                 except IoShockError as exc:
                     record(method, rep, k, error=str(exc))
                     continue

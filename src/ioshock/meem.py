@@ -27,16 +27,12 @@ class MeemPartition:
 
     supply_set: np.ndarray
     demand_set: np.ndarray
-    #: applied per-industry shock magnitudes, x0 - x_max and f0 - f_max
-    supply_magnitude: np.ndarray
-    demand_magnitude: np.ndarray
 
 
 @dataclass(frozen=True)
 class MeemSolution:
     x: np.ndarray
     f: np.ndarray
-    partition: MeemPartition
     negative_consumption: np.ndarray
     consumption_above_max: np.ndarray
     output_above_max: np.ndarray
@@ -51,15 +47,8 @@ def classify(e: Economy, c: Constraints) -> MeemPartition:
     exceeds its consumption shock; ties, including the no-shock case, go
     to the demand side so the unshocked baseline is recovered exactly.
     """
-    supply_mag = e.x - c.x_max
-    demand_mag = e.f - c.f_max
-    supply = supply_mag > demand_mag
-    return MeemPartition(
-        supply_set=np.flatnonzero(supply),
-        demand_set=np.flatnonzero(~supply),
-        supply_magnitude=supply_mag,
-        demand_magnitude=demand_mag,
-    )
+    supply = e.x - c.x_max > e.f - c.f_max
+    return MeemPartition(np.flatnonzero(supply), np.flatnonzero(~supply))
 
 
 def solve_meem(e: Economy, op: LeontiefOperator, c: Constraints,
@@ -116,7 +105,7 @@ def check_feasibility(x, f, p: MeemPartition, c: Constraints) -> MeemSolution:
         or negative_output.any()
     )
     return MeemSolution(
-        x=x, f=f, partition=p,
+        x=x, f=f,
         negative_consumption=negative_consumption,
         consumption_above_max=consumption_above_max,
         output_above_max=output_above_max,

@@ -24,6 +24,11 @@ over a window of sweeps (or once demand is stationary while the gap
 does not close), instead of sweeping on to ``max_iter``; each result's
 ``stop_reason`` is ``converged``, ``stalled`` or ``max_iter``.
 
+The stop rule is fixed: a run converges at residual ``TOL``, and its
+window test uses ``STALL_WINDOW`` and ``STALL_FACTOR``. The one setting
+a caller chooses is the sweep cap ``max_iter`` (``MAX_ITER`` by
+default), which must be at least 1.
+
 Delivered consumption is capped at its ceiling; the transient excess a
 priority rule can produce is treated as discarded. Without the cap the
 prioritising rules can converge to consumption above the exogenous
@@ -31,9 +36,6 @@ ceiling, breaking feasibility.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,17 +52,11 @@ GENERATOR_NAME = "numpy.random.Generator(PCG64)"
 STALL_WINDOW = 50
 STALL_FACTOR = 0.5
 
+#: a run has converged when its residual is at most TOL
+TOL = 1e-10
 
-@dataclass(frozen=True)
-class RationingOptions:
-    tol: float = 1e-10
-    max_iter: int = 10**6
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+#: default sweep cap
+MAX_ITER = 10**6
 
 
 def _proportional_ratios(d, avail):
@@ -105,13 +101,15 @@ def _priority_bottleneck(d, avail, cols, coef):
     return grid.min(axis=0, initial=1.0)
 
 
-def _iterate(e, op, c, opts, bottleneck, method):
+def _iterate(e, op, c, max_iter, bottleneck, method):
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     A, L = op.A, op.L
     floor = 1e-12 * e.x.sum()
     d = L @ c.f_max
     x = f = None
     residual = gap_prev = best = checked = np.inf
-    for t in range(1, opts.max_iter + 1):
+    for t in range(1, max_iter + 1):
         s = bottleneck(d, c.x_max)
         x = np.minimum(c.x_max, s * d)
         f = np.minimum(c.f_max, np.maximum(x - A @ x, 0.0))
@@ -121,9 +119,9 @@ def _iterate(e, op, c, opts, bottleneck, method):
         gap = float(np.max(np.abs(x - d_next) / np.maximum(d_next, floor))) if d.size else 0.0
         residual = max(moved, gap)
         d = d_next
-        if residual <= opts.tol:
+        if residual <= TOL:
             break
-        if moved <= opts.tol and gap > gap_prev * (1.0 - 1e-3):
+        if moved <= TOL and gap > gap_prev * (1.0 - 1e-3):
             # demand is stationary and x is a function of d alone, so a
             # non-shrinking gap can never close: the rule has stalled at
             # an overcommitted state short of x = d
@@ -135,13 +133,13 @@ def _iterate(e, op, c, opts, bottleneck, method):
                 # the residual wanders without closing in on zero
                 break
             checked = best
-    converged = residual <= opts.tol
+    converged = residual <= TOL
     return Allocation(
         x=x, f=f, method=method,
-        feasible=converged and allocation_is_feasible(x, f, op, c, tol=10 * opts.tol),
+        feasible=converged and allocation_is_feasible(x, f, op, c, tol=10 * TOL),
         iterations=t, converged=converged, residual=residual,
         stop_reason=("converged" if converged
-                     else "max_iter" if t == opts.max_iter else "stalled"),
+                     else "max_iter" if t == max_iter else "stalled"),
     )
 
 
@@ -151,32 +149,32 @@ def _check_dims(e, op, c):
 
 
 def ration_proportional(e: Economy, op: LeontiefOperator, c: Constraints,
-                        opts: RationingOptions = RationingOptions()) -> Allocation:
+                        max_iter: int = MAX_ITER) -> Allocation:
     """All customers, final consumers included, are rationed by the same share."""
     _check_dims(e, op, c)
     has_supplier = op.A > 0
     return _iterate(
-        e, op, c, opts,
+        e, op, c, max_iter,
         lambda d, avail: _bottleneck(_proportional_ratios(d, avail), has_supplier),
         "proportional",
     )
 
 
 def ration_mixed(e: Economy, op: LeontiefOperator, c: Constraints,
-                 opts: RationingOptions = RationingOptions()) -> Allocation:
+                 max_iter: int = MAX_ITER) -> Allocation:
     """Proportional among industries, with industries served before consumers."""
     _check_dims(e, op, c)
     has_supplier = op.A > 0
     return _iterate(
-        e, op, c, opts,
+        e, op, c, max_iter,
         lambda d, avail: _bottleneck(_mixed_ratios(d, avail, op.A), has_supplier),
         "mixed",
     )
 
 
-def _ranked_result(e, op, c, opts, cols, coef, method):
+def _ranked_result(e, op, c, max_iter, cols, coef, method):
     return _iterate(
-        e, op, c, opts,
+        e, op, c, max_iter,
         lambda d, avail: _priority_bottleneck(d, avail, cols, coef),
         method,
     )
@@ -214,16 +212,16 @@ def random_rankings(op: LeontiefOperator, seed):
 
 
 def ration_largest_first(e: Economy, op: LeontiefOperator, c: Constraints,
-                         opts: RationingOptions = RationingOptions()) -> Allocation:
+                         max_iter: int = MAX_ITER) -> Allocation:
     """Serve larger intermediate customers first; final consumers last."""
     _check_dims(e, op, c)
     cols, coef = largest_first_rankings(op, op.L @ c.f_max)
-    return _ranked_result(e, op, c, opts, cols, coef, "largest_first")
+    return _ranked_result(e, op, c, max_iter, cols, coef, "largest_first")
 
 
 def ration_random(e: Economy, op: LeontiefOperator, c: Constraints, seed,
-                  opts: RationingOptions = RationingOptions()) -> Allocation:
+                  max_iter: int = MAX_ITER) -> Allocation:
     """Serve intermediate customers in a seeded random order, consumers last."""
     _check_dims(e, op, c)
     cols, coef = random_rankings(op, seed)
-    return _ranked_result(e, op, c, opts, cols, coef, "random")
+    return _ranked_result(e, op, c, max_iter, cols, coef, "random")
