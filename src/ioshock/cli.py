@@ -268,7 +268,7 @@ def _spec(args, grid, **extra):
                      master_seed=args.seed, max_iter=args.max_iter, **extra)
 
 
-def _write(args, economy, records, constraints=None, allocations=(), **extra):
+def _write(args, economy, records, constraints=None, allocations=None, **extra):
     """Summarize the records, write the result tables into --out and
     print their paths; ``extra`` goes into the provenance line."""
     summaries = summarize(records)

@@ -63,6 +63,10 @@ class SweepSpec:
             raise ValueError("repetitions must be >= 1")
         if self.random_samples < 1:
             raise ValueError("random_samples must be >= 1")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.grid:
+            raise ValueError("grid must be nonempty")
         for g in self.grid:
             vals = g if isinstance(g, tuple) else (g,)
             if not all(0 <= v <= 1 for v in vals):
@@ -197,8 +201,6 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicates,
 def sweep_scale(e: Economy, s: ShockScenario, spec: SweepSpec):
     """Rebuild constraints at each (alpha_supply, alpha_demand) grid point
     and evaluate every method on them."""
-    if not spec.grid:
-        raise ValueError("grid must be nonempty")
     op = coefficients(e)
     records = []
     for g, (a_s, a_d) in enumerate(spec.grid):
@@ -217,8 +219,6 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):
     Replicates whose removal leaves an industry with inputs but no output
     are recorded with an error instead of aborting the sweep.
     """
-    if not spec.grid:
-        raise ValueError("grid must be nonempty")
     n = e.n
     current = e.density
     # the positive links in row-major order, as two index arrays

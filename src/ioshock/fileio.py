@@ -266,26 +266,23 @@ def write_economy_csv(path, e: Economy, provenance=None):
 
 def write_results(out_dir, economy, constraints, allocations,
                   sweep_records=(), summaries=(), provenance=None):
-    """Write allocations.csv, sweep.csv and summary.csv into out_dir.
+    """Write allocations.csv, sweep.csv and summary.csv into out_dir and
+    return their paths.
 
-    ``constraints`` supplies the ceilings of the allocation rows only, so
-    it may be None when there are no allocations.
+    ``allocations`` None writes no allocations.csv, as for a sweep, which
+    keeps no single point's allocations. ``constraints`` supplies the
+    ceilings of the allocation rows only, so it may then be None.
     """
     os.makedirs(out_dir, exist_ok=True)
-    provenance = provenance or {}
-    alloc_rows = []
-    for a in allocations:
-        for i, label in enumerate(economy.labels):
-            alloc_rows.append([
-                label, a.method, a.x[i], a.f[i],
-                constraints.x_max[i], constraints.f_max[i],
-                a.feasible, a.iterations,
-            ])
-    _write_csv(os.path.join(out_dir, "allocations.csv"), provenance,
-               ALLOCATIONS_HEADER, alloc_rows)
-    _write_csv(os.path.join(out_dir, "sweep.csv"), provenance, SWEEP_HEADER,
-               [[getattr(r, col) for col in SWEEP_HEADER] for r in sweep_records])
-    _write_csv(os.path.join(out_dir, "summary.csv"), provenance, SUMMARY_HEADER,
-               [[getattr(s, col) for col in SUMMARY_HEADER] for s in summaries])
-    return [os.path.join(out_dir, name)
-            for name in ("allocations.csv", "sweep.csv", "summary.csv")]
+    tables = {}
+    if allocations is not None:
+        tables["allocations.csv"] = ALLOCATIONS_HEADER, [
+            [label, a.method, a.x[i], a.f[i], constraints.x_max[i],
+             constraints.f_max[i], a.feasible, a.iterations]
+            for a in allocations for i, label in enumerate(economy.labels)]
+    for name, header, records in (("sweep.csv", SWEEP_HEADER, sweep_records),
+                                  ("summary.csv", SUMMARY_HEADER, summaries)):
+        tables[name] = header, [[getattr(r, col) for col in header] for r in records]
+    for name, (header, rows) in tables.items():
+        _write_csv(os.path.join(out_dir, name), provenance or {}, header, rows)
+    return [os.path.join(out_dir, name) for name in tables]

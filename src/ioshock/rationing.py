@@ -9,8 +9,8 @@ production among customers:
   ahead of the final consumer;
 * largest_first -- intermediate customers are served in descending order
   of their initial demand, final consumers last;
-* random -- like largest_first but the per-supplier serving order is a
-  seeded random permutation.
+* random -- like largest_first but each supplier serves its customers
+  in the order of seeded uniform keys, one draw for the whole network.
 
 Each rule is iterated as a fixed-point map on the total-demand vector.
 Convergence requires both that demand stops moving and that production
@@ -43,8 +43,8 @@ from .economy import Economy, LeontiefOperator
 from .errors import DimensionMismatch
 from .shocks import Allocation, Constraints, allocation_is_feasible
 
-#: RNG used for random rationing; recorded in outputs for reproducibility.
-GENERATOR_NAME = "numpy.random.Generator(PCG64)"
+#: RNG and ranking scheme of random rationing, recorded in outputs
+GENERATOR_NAME = "numpy.random.Generator(PCG64) random((n, n)) keys, argsorted per row"
 
 #: a run stops as stalled when, at a check every STALL_WINDOW sweeps, its
 #: best residual so far has not fallen below STALL_FACTOR times the best
@@ -200,15 +200,16 @@ def largest_first_rankings(op: LeontiefOperator, d1: np.ndarray):
 
 
 def random_rankings(op: LeontiefOperator, seed):
-    """Per-supplier random customer orders, drawn once from the given seed,
-    in the layout of ``largest_first_rankings``."""
-    rng = np.random.default_rng(seed)
+    """Per-supplier random customer orders in the layout of
+    ``largest_first_rankings``: each supplier serves its customers in
+    ascending order of one seeded uniform draw of A's shape."""
     customer = op.A > 0
-    order = np.argsort(~customer, axis=1, kind="stable")  # customers first, by index
-    degree = np.count_nonzero(customer, axis=1)
-    for row, k in zip(order, degree):
-        rng.shuffle(row[:k])  # in place, the draws of rng.permutation
-    return _ranked_layout(op.A, order, degree)
+    key = np.random.default_rng(seed).random(op.A.shape)
+    # keys are multiples of 2**-53 in [0, 1), so moving the customers' to
+    # [-1, 0) is exact: they sort ahead of every non-customer, in their order
+    key -= customer
+    return _ranked_layout(op.A, np.argsort(key, axis=1),
+                          np.count_nonzero(customer, axis=1))
 
 
 def ration_largest_first(e: Economy, op: LeontiefOperator, c: Constraints,

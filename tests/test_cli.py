@@ -444,7 +444,9 @@ class TestSweepScale:
                             "--out", files["out"]])
         assert code == 0
         paths = capsys.readouterr().out.splitlines()
-        _, rows = read_table(paths[1])
+        # a sweep keeps no single point's allocations
+        assert [p.split("/")[-1] for p in paths] == ["sweep.csv", "summary.csv"]
+        _, rows = read_table(paths[0])
         assert len(rows) == 11 * 2
         assert len({r["alpha_supply"] for r in rows}) == 11
         baseline = [r for r in rows if float(r["alpha_supply"]) == 0.0]
@@ -460,7 +462,8 @@ class TestSweepDensity:
                             "--out", files["out"]])
         assert code == 0
         paths = capsys.readouterr().out.splitlines()
-        prov, rows = read_table(paths[1])
+        assert [p.split("/")[-1] for p in paths] == ["sweep.csv", "summary.csv"]
+        prov, rows = read_table(paths[0])
         assert prov["removal_mode"] == "smallest_first"
         assert len(rows) == 1
         assert float(rows[0]["total_output"]) == pytest.approx(16.0)
@@ -504,7 +507,7 @@ class TestTracedRun:
             "economy.coefficients.calls": 1,
             "experiments.run_method.calls": 9,
             "experiments.summarize.calls": 1,
-            "fileio.bytes": 4325,
+            "fileio.bytes": 4471,
             "fileio.parse_economy_csv.calls": 1,
             "fileio.parse_shocks_csv.calls": 1,
             "fileio.write_results.calls": 1,

@@ -48,6 +48,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(repetitions=0)
 
+    def test_rejects_zero_max_iter(self):
+        # at construction, before a sweep evaluates the methods that run
+        # without it
+        with pytest.raises(ValueError, match="max_iter"):
+            SweepSpec(max_iter=0, methods=("direct", "lp_output", "proportional"))
+
 
 class TestRunMethod:
     def test_every_method_says_how_it_ended(self, chain3, chain3_op,

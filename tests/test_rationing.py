@@ -39,9 +39,9 @@ from conftest import random_economy, random_scenario, sized_economy
 
 PAIR2_MIXED_X = np.array([330.0, 136.0]) / 37.0
 
-# seed 3 makes supplier 1 rank customer 3 ahead of customer 2 on chain3
-CHAIN3_SEED_32 = 3
-CHAIN3_SEED_23 = 0
+# seed 0 makes supplier 1 rank customer 3 ahead of customer 2 on chain3
+CHAIN3_SEED_32 = 0
+CHAIN3_SEED_23 = 2
 
 ALGORITHMS = (ration_proportional, ration_mixed, ration_largest_first)
 
@@ -307,10 +307,14 @@ def loop_largest_first(A, d1):
 
 
 def loop_random(A, seed):
-    """Reference: one permutation of each supplier's customers, in supplier
-    order, from one generator; this fixes the random stream."""
-    rng = np.random.default_rng(seed)
-    return [rng.permutation(np.flatnonzero(A[i] > 0)) for i in range(A.shape[0])]
+    """Reference: each supplier's customers sorted by their entries in its
+    row of one ``random(A.shape)`` draw; this fixes the random stream."""
+    key = np.random.default_rng(seed).random(A.shape)
+    rankings = []
+    for i in range(A.shape[0]):
+        customers = np.flatnonzero(A[i] > 0)
+        rankings.append(customers[np.argsort(key[i, customers])])
+    return rankings
 
 
 def loop_priority_bottleneck(d, avail, A, rankings):
@@ -395,6 +399,37 @@ class TestKernels:
                               loop_priority_bottleneck(d, avail, A, rankings))
         for r in (_proportional_ratios(d, avail), _mixed_ratios(d, avail, A)):
             assert np.array_equal(_bottleneck(r, A > 0), loop_bottleneck(r, A))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_case(), st.integers(0, 2**32 - 1))
+    # supplier 0 sells to no one, supplier 1 to all three industries
+    @example(case([[0.0, 0.0, 0.0], [0.2, 0.1, 0.3], [0.0, 0.4, 0.0]],
+                  [1.0, 2.0, 3.0], [0.0, 0.5, 0.5], seed=3), 5)
+    def test_padding_order_is_free(self, drawn, shuffle_seed):
+        """Only the customers' order is a ranking's: every row of
+        random_rankings lists its customers ahead of the padding, and which
+        non-customers pad a row, in which order, changes no bit."""
+        A, d, avail, seed = drawn
+        op = SimpleNamespace(n=A.shape[0], A=A)
+        customer = A > 0
+        degree = np.count_nonzero(customer, axis=1)
+        cols, coef = random_rankings(op, 0 if seed is None else seed)
+        assert cols.shape == (A.shape[0], degree.max(initial=0))
+        assert np.all(np.diff(np.sort(cols, axis=1), axis=1) > 0)  # distinct
+        ahead = np.arange(cols.shape[1]) < degree[:, None]
+        assert np.array_equal(np.take_along_axis(customer, cols, axis=1), ahead)
+        assert np.array_equal(coef > 0, ahead)
+        # any other choice and order of non-customers behind the customers
+        rng = np.random.default_rng(shuffle_seed)
+        for cols, coef in ((cols, coef), largest_first_rankings(op, d)):
+            moved = cols.copy()
+            for i, k in enumerate(degree):
+                others = rng.permutation(np.flatnonzero(~customer[i]))
+                moved[i, k:] = others[:cols.shape[1] - k]
+            assert np.array_equal(
+                _priority_bottleneck(d, avail, moved,
+                                     np.take_along_axis(A, moved, axis=1)),
+                _priority_bottleneck(d, avail, cols, coef))
 
 
 class TestSharedProperties:
