@@ -31,6 +31,7 @@ from .errors import (
 )
 from .experiments import (
     ALL_METHODS,
+    AllocationRow,
     SweepSpec,
     evaluate_point,
     summarize,
@@ -268,13 +269,12 @@ def _spec(args, grid, **extra):
                      master_seed=args.seed, max_iter=args.max_iter, **extra)
 
 
-def _write(args, economy, records, constraints=None, allocations=None, **extra):
+def _write(args, records, allocations=None, **extra):
     """Summarize the records, write the result tables into --out and
     print their paths; ``extra`` goes into the provenance line."""
-    summaries = summarize(records)
     try:
-        files = write_results(args.out, economy, constraints, allocations,
-                              records, summaries, _provenance(args, extra))
+        files = write_results(args.out, allocations, records, summarize(records),
+                              _provenance(args, extra))
     except OSError as exc:
         raise ParseError(f"{args.out}: {exc.strerror or exc}") from None
     print("\n".join(files))
@@ -297,14 +297,17 @@ def _cmd_run(args):
             print(f"warning: {r.method} failed: {r.error}", file=sys.stderr)
         elif first and not r.converged:
             print(f"warning: {r.method} did not converge", file=sys.stderr)
-    return _write(args, economy, records, c, allocations)
+    rows = (AllocationRow(label, a.method, a.x[i], a.f[i], c.x_max[i],
+                          c.f_max[i], a.feasible, a.iterations)
+            for a in allocations for i, label in enumerate(economy.labels))
+    return _write(args, records, rows)
 
 
 def _cmd_sweep_scale(args):
     economy, scenario = _load(args)
     a_s, a_d = _alphas(args)
     spec = _spec(args, tuple((s, d) for s in a_s for d in a_d))
-    return _write(args, economy, sweep_scale(economy, scenario, spec))
+    return _write(args, sweep_scale(economy, scenario, spec))
 
 
 def _cmd_sweep_density(args):
@@ -321,7 +324,7 @@ def _cmd_sweep_density(args):
                          f"above the economy's density {economy.density}")
     spec = _spec(args, tuple(densities), removal_mode=args.removal_mode)
     records = sweep_density(economy, scenario, spec)
-    return _write(args, economy, records, removal_mode=args.removal_mode)
+    return _write(args, records, removal_mode=args.removal_mode)
 
 
 _COMMANDS = {

@@ -74,6 +74,8 @@ class SweepSpec:
         unknown = set(self.methods) - set(ALL_METHODS)
         if unknown:
             raise ValueError(f"unknown methods: {sorted(unknown)}")
+        if self.removal_mode not in ("random", "smallest_first"):
+            raise ValueError(f"unknown removal mode {self.removal_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,20 @@ class SweepRecord:
     avg_multiplier: float = math.nan
     intermediate_share: float = math.nan
     error: str = ""
+
+
+@dataclass(frozen=True)
+class AllocationRow:
+    """One row of allocations.csv, whose columns are these fields in order."""
+
+    industry: str
+    method: str
+    x: float
+    f: float
+    x_max: float
+    f_max: float
+    feasible: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -158,8 +174,8 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicates,
     """Evaluate every method once per sample at one grid point, for each
     replicate in ``replicates`` in turn.
 
-    Returns the records, one per evaluation, and the allocations of each
-    method's sample 0 in the first replicate that did not raise.
+    Returns the records, one per evaluation, and the sample-0 allocation of
+    each method that did not raise, from the first of ``replicates`` only.
     """
     m = metrics(e, op)
     base_x = m.total_output
@@ -235,12 +251,10 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):
         for rep in range(reps):
             if spec.removal_mode == "smallest_first":
                 links = smallest_links(e, k)
-            elif spec.removal_mode == "random":
+            else:
                 rng = np.random.default_rng(_removal_seed(spec.master_seed, g, rep))
                 chosen = rng.choice(rows.size, size=k, replace=False)
                 links = rows[chosen], cols[chosen]
-            else:
-                raise ValueError(f"unknown removal mode {spec.removal_mode!r}")
             e2 = remove_links(e, *links)
             try:
                 op2 = coefficients(e2)

@@ -31,18 +31,13 @@ from .errors import (
     ParseError,
     UnknownIndustry,
 )
-from .experiments import SweepRecord, SweepSummary
+from .experiments import AllocationRow, SweepRecord, SweepSummary
 from .shocks import ShockScenario, supply_shock
 
 ECONOMY_GROSS_OUTPUT_RTOL = 1e-6
 
 RAW_SHOCK_HEADER = ["industry", "rli", "essential_share", "demand_shock"]
 DIRECT_SHOCK_HEADER = ["industry", "supply_shock", "demand_shock"]
-
-ALLOCATIONS_HEADER = ["industry", "method", "x", "f", "x_max", "f_max",
-                      "feasible", "iterations"]
-SWEEP_HEADER = [f.name for f in dataclasses.fields(SweepRecord)]
-SUMMARY_HEADER = [f.name for f in dataclasses.fields(SweepSummary)]
 
 
 def file_digest(path) -> str:
@@ -208,11 +203,11 @@ def parse_shocks_csv(path, labels, percent=False, allow_missing=False) -> ShockS
             if raw:
                 rli, essential, demand = values
                 eps_s[i] = supply_shock(rli, essential)
-                eps_d[i] = _require_unit(demand, "demand_shock", path, lineno)
+                eps_d[i] = _require_unit(demand, "demand_shock")
             else:
                 supply, demand = values
-                eps_s[i] = _require_unit(supply, "supply_shock", path, lineno)
-                eps_d[i] = _require_unit(demand, "demand_shock", path, lineno)
+                eps_s[i] = _require_unit(supply, "supply_shock")
+                eps_d[i] = _require_unit(demand, "demand_shock")
         except OutOfRange as exc:
             raise OutOfRange(f"{path}:{lineno}: {exc}") from None
 
@@ -224,7 +219,7 @@ def parse_shocks_csv(path, labels, percent=False, allow_missing=False) -> ShockS
     return ShockScenario(eps_s, eps_d)
 
 
-def _require_unit(value, name, path, lineno):
+def _require_unit(value, name):
     if not 0 <= value <= 1:
         raise OutOfRange(f"{name} {value} outside [0, 1]")
     return value
@@ -264,25 +259,19 @@ def write_economy_csv(path, e: Economy, provenance=None):
     _write_csv(path, provenance or {}, header, rows)
 
 
-def write_results(out_dir, economy, constraints, allocations,
-                  sweep_records=(), summaries=(), provenance=None):
+def write_results(out_dir, allocations, sweep_records, summaries, provenance):
     """Write allocations.csv, sweep.csv and summary.csv into out_dir and
-    return their paths.
-
-    ``allocations`` None writes no allocations.csv, as for a sweep, which
-    keeps no single point's allocations. ``constraints`` supplies the
-    ceilings of the allocation rows only, so it may then be None.
-    """
+    return their paths. Each table's columns are the fields of its record
+    type, so a table with no records still has its header. ``allocations``
+    None writes no allocations.csv, as for a sweep."""
     os.makedirs(out_dir, exist_ok=True)
-    tables = {}
-    if allocations is not None:
-        tables["allocations.csv"] = ALLOCATIONS_HEADER, [
-            [label, a.method, a.x[i], a.f[i], constraints.x_max[i],
-             constraints.f_max[i], a.feasible, a.iterations]
-            for a in allocations for i, label in enumerate(economy.labels)]
-    for name, header, records in (("sweep.csv", SWEEP_HEADER, sweep_records),
-                                  ("summary.csv", SUMMARY_HEADER, summaries)):
-        tables[name] = header, [[getattr(r, col) for col in header] for r in records]
-    for name, (header, rows) in tables.items():
-        _write_csv(os.path.join(out_dir, name), provenance or {}, header, rows)
-    return [os.path.join(out_dir, name) for name in tables]
+    paths = []
+    for name, kind, records in (("allocations.csv", AllocationRow, allocations),
+                                ("sweep.csv", SweepRecord, sweep_records),
+                                ("summary.csv", SweepSummary, summaries)):
+        if records is not None:
+            header = [field.name for field in dataclasses.fields(kind)]
+            paths.append(os.path.join(out_dir, name))
+            _write_csv(paths[-1], provenance, header,
+                       ([getattr(r, col) for col in header] for r in records))
+    return paths

@@ -263,13 +263,11 @@ def test_density_sweep_ends(chain3, chain3_scenario):
 def test_sweep_determinism(tmp_path, chain3, chain3_scenario):
     from ioshock import file_digest, summarize
 
-    c = make_constraints(chain3, chain3_scenario)
-
     def emit(tag):
         spec = SweepSpec(grid=tuple((a, a) for a in (0.0, 0.5, 1.0)),
                          repetitions=2, random_samples=5, master_seed=7)
         records = sweep_scale(chain3, chain3_scenario, spec)
-        return write_results(tmp_path / tag, chain3, c, [], records,
+        return write_results(tmp_path / tag, [], records,
                              summarize(records), {"master_seed": 7})
 
     digests = [[file_digest(p) for p in emit(tag)] for tag in ("a", "b", "c")]

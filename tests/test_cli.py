@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -12,6 +13,7 @@ import ioshock
 from ioshock import experiments, file_digest
 from ioshock.cli import MAX_GRID_POINTS, _grid_values, build_parser, run_command
 from ioshock.errors import ParseError, SolverFailure
+from ioshock.experiments import AllocationRow
 
 ECONOMY = """\
 industry,upstream,parts,goods,final_demand
@@ -377,7 +379,13 @@ class TestRun:
             assert sum(float(r["f"]) for r in allocation) == pytest.approx(
                 float(sample0["total_consumption"]), rel=1e-12)
 
-    def test_failing_method_is_an_error_record(self, files, capsys, monkeypatch):
+    @pytest.mark.parametrize("methods, rows, records", [
+        ("all", 7 * 3, 7 + 5),
+        # nothing to allocate: allocations.csv is the header alone
+        ("lp_consumption", 0, 1),
+    ], ids=["all", "lp_consumption"])
+    def test_failing_method_is_an_error_record(self, files, capsys, monkeypatch,
+                                               methods, rows, records):
         real = experiments.optimal_allocation
 
         def failing(op, c, objective):
@@ -387,16 +395,19 @@ class TestRun:
 
         monkeypatch.setattr(experiments, "optimal_allocation", failing)
         assert run_command(["run", "--economy", files["economy"],
-                            "--shocks", files["shocks"],
-                            "--out", files["out"], "--samples", "5"]) == 0
+                            "--shocks", files["shocks"], "--out", files["out"],
+                            "--methods", methods, "--samples", "5"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ("warning: lp_consumption failed: simplex "
                                 "terminated at a point violating its bounds\n")
-        allocation, sweep, summary = (read_table(p)[1]
-                                      for p in captured.out.splitlines())
+        paths = captured.out.splitlines()
+        allocation, sweep, summary = (read_table(p)[1] for p in paths)
         assert "lp_consumption" not in {r["method"] for r in allocation}
-        assert len(allocation) == 7 * 3
-        assert len(sweep) == 7 + 5
+        assert len(allocation) == rows
+        # the header comes from AllocationRow, not from a first row
+        header = open(paths[0], encoding="utf-8").read().splitlines()[1]
+        assert header == ",".join(f.name for f in dataclasses.fields(AllocationRow))
+        assert len(sweep) == records
         (failed,) = [r for r in sweep if r["method"] == "lp_consumption"]
         assert failed["error"].startswith("simplex terminated")
         (row,) = [r for r in summary if r["method"] == "lp_consumption"]

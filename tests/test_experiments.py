@@ -48,6 +48,11 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(repetitions=0)
 
+    def test_rejects_unknown_removal_mode(self):
+        # at construction, not only once sweep_density reaches its loop
+        with pytest.raises(ValueError, match="'bogus'"):
+            SweepSpec(removal_mode="bogus")
+
     def test_rejects_zero_max_iter(self):
         # at construction, before a sweep evaluates the methods that run
         # without it

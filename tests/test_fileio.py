@@ -35,6 +35,7 @@ from ioshock.errors import (
     ParseError,
     UnknownIndustry,
 )
+from ioshock.experiments import AllocationRow
 from ioshock.fileio import ECONOMY_GROSS_OUTPUT_RTOL
 
 from conftest import random_economy, sized_economy, traced_peak
@@ -496,12 +497,14 @@ class TestParseShocks:
 class TestWriteResults:
     def files(self, tmp_path, chain3, chain3_op, chain3_scenario):
         c = make_constraints(chain3, chain3_scenario)
-        allocations = [direct_allocation(chain3_op, c)]
+        a = direct_allocation(chain3_op, c)
+        rows = [AllocationRow(label, a.method, a.x[i], a.f[i], c.x_max[i],
+                              c.f_max[i], a.feasible, a.iterations)
+                for i, label in enumerate(chain3.labels)]
         records = sweep_scale(chain3, chain3_scenario,
                               SweepSpec(grid=((0.0, 0.0), (1.0, 1.0))))
-        return write_results(tmp_path / "out", chain3, c, allocations,
-                             records, summarize(records),
-                             provenance={"master_seed": 0})
+        return write_results(tmp_path / "out", rows, records,
+                             summarize(records), {"master_seed": 0})
 
     def test_three_files_strict_csv(self, tmp_path, chain3, chain3_op,
                                     chain3_scenario):
