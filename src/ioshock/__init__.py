@@ -45,7 +45,7 @@ from .lp import (
     optimal_allocation,
     solve,
 )
-from .meem import MeemPartition, MeemSolution, check_feasibility, classify, solve_meem
+from .meem import MeemSolution, check_feasibility, classify, solve_meem
 from .rationing import (
     ration_largest_first,
     ration_mixed,

@@ -3,8 +3,10 @@
 Subcommands: ``validate`` (parse and report invariants), ``shock`` (emit
 constraint ceilings), ``run`` (all methods on one scenario),
 ``sweep-scale`` and ``sweep-density``. Exit status is 0 on success, 1 on
-a validation failure (bad input files or flag values, or an output
-directory that cannot be written), 2 on a computation error.
+bad input (an ``InputError``: unreadable or malformed files, bad flag
+values, an output directory that cannot be written, or an economy that
+is not productive, has an industry with inputs but no output, or has no
+output at all), 2 on a computation error.
 """
 
 from __future__ import annotations
@@ -19,16 +21,7 @@ import sys
 
 from . import __version__
 from .economy import coefficients, metrics
-from .errors import (
-    DimensionMismatch,
-    IdentityViolation,
-    IoShockError,
-    MissingIndustry,
-    NegativeEntry,
-    OutOfRange,
-    ParseError,
-    UnknownIndustry,
-)
+from .errors import InputError, IoShockError, ParseError
 from .experiments import (
     ALL_METHODS,
     AllocationRow,
@@ -41,11 +34,6 @@ from .experiments import (
 from .fileio import file_digest, parse_economy_csv, parse_shocks_csv, write_results
 from .rationing import GENERATOR_NAME, MAX_ITER, TOL
 from .shocks import aggregate_shocks, make_constraints
-
-_VALIDATION_ERRORS = (
-    ParseError, IdentityViolation, NegativeEntry, OutOfRange,
-    UnknownIndustry, MissingIndustry, DimensionMismatch,
-)
 
 #: most points a start:stop:step grid may hold
 MAX_GRID_POINTS = 10_000
@@ -342,12 +330,9 @@ def run_command(argv) -> int:
     try:
         _check_numeric_flags(args)
         return _COMMANDS[args.command](args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (IoShockError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
 
 
 def main():

@@ -5,19 +5,24 @@ class IoShockError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DimensionMismatch(IoShockError):
+class InputError(IoShockError):
+    """Bad input: the files, the flag values or the economy's own
+    numbers. Any other IoShockError is a computation failing on valid input."""
+
+
+class DimensionMismatch(InputError):
     """Array shapes do not agree with the economy's industry count."""
 
 
-class NegativeEntry(IoShockError):
+class NegativeEntry(InputError):
     """A flow or final-demand entry is negative."""
 
 
-class ZeroOutputWithInputs(IoShockError):
+class ZeroOutputWithInputs(InputError):
     """An industry has zero gross output but a nonzero input column."""
 
 
-class NonProductive(IoShockError):
+class NonProductive(InputError):
     """(I - A) is singular or the Leontief inverse has negative entries."""
 
 
@@ -25,11 +30,11 @@ class KTooLarge(IoShockError):
     """More links requested than strictly positive entries exist."""
 
 
-class OutOfRange(IoShockError):
+class OutOfRange(InputError):
     """A shock fraction or scaling factor lies outside [0, 1]."""
 
 
-class ZeroAggregate(IoShockError):
+class ZeroAggregate(InputError):
     """Aggregate shock undefined because total baseline output is zero."""
 
 
@@ -43,17 +48,17 @@ class SingularBlock(IoShockError):
     """The demand-demand block (I - A_dd) is numerically singular."""
 
 
-class ParseError(IoShockError):
+class ParseError(InputError):
     """Malformed input file; message carries row/column location."""
 
 
-class IdentityViolation(IoShockError):
+class IdentityViolation(InputError):
     """Declared gross output disagrees with the derived accounting value."""
 
 
-class UnknownIndustry(IoShockError):
+class UnknownIndustry(InputError):
     """Shock file references an industry label not present in the economy."""
 
 
-class MissingIndustry(IoShockError):
+class MissingIndustry(InputError):
     """Shock file omits an industry present in the economy."""

@@ -22,14 +22,6 @@ _DIAG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MeemPartition:
-    """Index sets of supply- and demand-constrained industries."""
-
-    supply_set: np.ndarray
-    demand_set: np.ndarray
-
-
-@dataclass(frozen=True)
 class MeemSolution:
     x: np.ndarray
     f: np.ndarray
@@ -40,27 +32,27 @@ class MeemSolution:
     feasible: bool
 
 
-def classify(e: Economy, c: Constraints) -> MeemPartition:
-    """Split industries by which applied shock is larger in absolute terms.
+def classify(e: Economy, c: Constraints) -> np.ndarray:
+    """Split industries by which applied shock is larger in absolute terms:
+    the boolean mask of the supply-constrained ones.
 
     An industry is supply-constrained when its output shock strictly
     exceeds its consumption shock; ties, including the no-shock case, go
     to the demand side so the unshocked baseline is recovered exactly.
     """
-    supply = e.x - c.x_max > e.f - c.f_max
-    return MeemPartition(np.flatnonzero(supply), np.flatnonzero(~supply))
+    return e.x - c.x_max > e.f - c.f_max
 
 
 def solve_meem(e: Economy, op: LeontiefOperator, c: Constraints,
-               p: MeemPartition) -> MeemSolution:
-    """Block solve with x fixed at its ceiling on the supply set and f at
-    its ceiling on the demand set.
+               supply: np.ndarray) -> MeemSolution:
+    """Block solve with x fixed at its ceiling where the mask ``supply`` is
+    true and f at its ceiling on the rest, the demand side.
 
     Endogenous output of the demand group comes from inverting its own
     block; endogenous consumption of the supply group is the accounting
     residual. Degenerate partitions (either group empty) are supported.
     """
-    S, D = p.supply_set, p.demand_set
+    S, D = np.flatnonzero(supply), np.flatnonzero(~supply)
     A = op.A
     x_s = c.x_max[S]
     f_d = c.f_max[D]
@@ -80,19 +72,18 @@ def solve_meem(e: Economy, op: LeontiefOperator, c: Constraints,
     f = np.empty(e.n)
     x[S], x[D] = x_s, x_d
     f[S], f[D] = f_s, f_d
-    return check_feasibility(x, f, p, c)
+    return check_feasibility(x, f, supply, c)
 
 
-def check_feasibility(x, f, p: MeemPartition, c: Constraints) -> MeemSolution:
-    """Flag every ceiling violation of an assembled MEEM allocation.
+def check_feasibility(x, f, on_supply: np.ndarray, c: Constraints) -> MeemSolution:
+    """Flag every ceiling violation of an assembled MEEM allocation whose
+    supply-constrained industries are the mask ``on_supply``.
 
     Negative output on the demand side is recorded for completeness but
     cannot fire while supply shocks are nonnegative.
     """
     scale = max(float(np.max(np.abs(x))), 1.0)
     tol = _DIAG_TOL * scale
-    on_supply = np.zeros(x.size, dtype=bool)
-    on_supply[p.supply_set] = True
 
     negative_consumption = on_supply & (f < -tol)
     consumption_above_max = on_supply & (f > c.f_max + tol)

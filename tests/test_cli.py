@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import ioshock
-from ioshock import experiments, file_digest
+from ioshock import cli, errors, experiments, file_digest
 from ioshock.cli import MAX_GRID_POINTS, _grid_values, build_parser, run_command
-from ioshock.errors import ParseError, SolverFailure
+from ioshock.errors import InputError, IoShockError, ParseError, SolverFailure
 from ioshock.experiments import AllocationRow
 
 ECONOMY = """\
@@ -228,6 +228,70 @@ class TestValidate:
                             "--shocks", paths["shocks"]]) == 1
         assert capsys.readouterr().err == (
             f"error: {bad}:3: byte 0xff is not UTF-8 (invalid start byte)\n")
+
+
+#: every IoShockError class of ioshock.errors, the base included
+ERROR_CLASSES = sorted((cls for cls in vars(errors).values()
+                        if isinstance(cls, type) and issubclass(cls, IoShockError)),
+                       key=lambda cls: cls.__name__)
+
+#: the bad-input classes; moving a class in or out of InputError edits this
+INPUT_ERRORS = {
+    "InputError", "DimensionMismatch", "NegativeEntry", "ZeroOutputWithInputs",
+    "NonProductive", "OutOfRange", "ZeroAggregate", "ParseError",
+    "IdentityViolation", "UnknownIndustry", "MissingIndustry",
+}
+
+TWO_SHOCKS = """\
+industry,supply_shock,demand_shock
+a,0.5,0
+b,0,0
+"""
+
+
+class TestExitStatus:
+    """An InputError exits 1; any other IoShockError exits 2."""
+
+    def test_input_errors_are_pinned(self):
+        assert {cls.__name__ for cls in ERROR_CLASSES
+                if issubclass(cls, InputError)} == INPUT_ERRORS
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_error_class_sets_status(self, files, capsys, monkeypatch, cls):
+        def fail(economy):
+            raise cls(f"{cls.__name__} raised")
+
+        monkeypatch.setattr(cli, "coefficients", fail)
+        code = run_command(["validate", "--economy", files["economy"]])
+        assert code == (1 if issubclass(cls, InputError) else 2)
+        assert capsys.readouterr().err == f"error: {cls.__name__} raised\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "sweep-scale"])
+    @pytest.mark.parametrize("rows,message", [
+        ("a,0,100,0\nb,100,0,0\n", "(I - A) is singular: Singular matrix"),
+        ("a,0,0,0\nb,5,0,1\n", "industry a has zero output but nonzero inputs"),
+    ], ids=["not_productive", "inputs_without_output"])
+    def test_unusable_economy_exits_one(self, tmp_path, capsys, command, rows,
+                                        message):
+        economy = tmp_path / "economy.csv"
+        shocks = tmp_path / "shocks.csv"
+        economy.write_text("industry,a,b,final_demand\n" + rows, encoding="utf-8")
+        shocks.write_text(TWO_SHOCKS, encoding="utf-8")
+        argv = [command, "--economy", str(economy)]
+        if command != "validate":
+            argv += ["--shocks", str(shocks), "--out", str(tmp_path / "out")]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_economy_without_output_exits_one(self, tmp_path, capsys):
+        economy = tmp_path / "economy.csv"
+        shocks = tmp_path / "shocks.csv"
+        economy.write_text("industry,a,b,final_demand\na,0,0,0\nb,0,0,0\n",
+                           encoding="utf-8")
+        shocks.write_text(TWO_SHOCKS, encoding="utf-8")
+        assert run_command(["validate", "--economy", str(economy),
+                            "--shocks", str(shocks)]) == 1
+        assert capsys.readouterr().err == "error: total baseline output is zero\n"
 
 
 def child_env():

@@ -23,36 +23,43 @@ def run(e, c):
     return solve_meem(e, op, c, classify(e, c))
 
 
+def sides(supply):
+    """The (supply, demand) index sets of classify's mask."""
+    return np.flatnonzero(supply), np.flatnonzero(~supply)
+
+
 class TestClassify:
     def test_no_shock_all_demand_side(self, chain3):
-        p = classify(chain3, Constraints(np.array(chain3.x), np.array(chain3.f)))
-        assert p.supply_set.size == 0
-        npt.assert_array_equal(p.demand_set, [0, 1, 2])
+        c = Constraints(np.array(chain3.x), np.array(chain3.f))
+        S, D = sides(classify(chain3, c))
+        assert S.size == 0
+        npt.assert_array_equal(D, [0, 1, 2])
 
     def test_chain3_fixture(self, chain3, chain3_constraints):
-        p = classify(chain3, chain3_constraints)
-        npt.assert_array_equal(p.supply_set, [0])
-        npt.assert_array_equal(p.demand_set, [1, 2])
+        S, D = sides(classify(chain3, chain3_constraints))
+        npt.assert_array_equal(S, [0])
+        npt.assert_array_equal(D, [1, 2])
 
     def test_magnitudes_not_rates_decide(self, chain3):
         # 20% output shock and 50% consumption shock on industry 1 remove
         # the same 2 units; the tie goes to the demand side
         s = ShockScenario(np.array([0.2, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
-        p = classify(chain3, make_constraints(chain3, s))
-        assert p.supply_set.size == 0
-        npt.assert_array_equal(p.demand_set, [0, 1, 2])
+        S, D = sides(classify(chain3, make_constraints(chain3, s)))
+        assert S.size == 0
+        npt.assert_array_equal(D, [0, 1, 2])
 
     def test_strictly_larger_supply_shock_wins(self, chain3):
         s = ShockScenario(np.array([0.21, 0.0, 0.0]), np.array([0.5, 0.0, 0.0]))
-        p = classify(chain3, make_constraints(chain3, s))
-        assert 0 in p.supply_set
+        S, _ = sides(classify(chain3, make_constraints(chain3, s)))
+        assert 0 in S
 
     def test_partition_is_exhaustive(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             e = random_economy(rng)
-            p = classify(e, make_constraints(e, random_scenario(rng, e.n)))
-            merged = np.sort(np.concatenate([p.supply_set, p.demand_set]))
+            supply = classify(e, make_constraints(e, random_scenario(rng, e.n)))
+            assert supply.dtype == bool and supply.shape == (e.n,)
+            merged = np.sort(np.concatenate(sides(supply)))
             npt.assert_array_equal(merged, np.arange(e.n))
 
 
@@ -102,10 +109,11 @@ class TestSolve:
         for _ in range(20):
             e = random_economy(rng)
             c = make_constraints(e, random_scenario(rng, e.n))
-            p = classify(e, c)
-            sol = solve_meem(e, coefficients(e), c, p)
-            npt.assert_array_equal(sol.x[p.supply_set], c.x_max[p.supply_set])
-            npt.assert_array_equal(sol.f[p.demand_set], c.f_max[p.demand_set])
+            supply = classify(e, c)
+            sol = solve_meem(e, coefficients(e), c, supply)
+            S, D = sides(supply)
+            npt.assert_array_equal(sol.x[S], c.x_max[S])
+            npt.assert_array_equal(sol.f[D], c.f_max[D])
 
     def test_accounting_identity(self):
         rng = np.random.default_rng(43)
@@ -182,19 +190,19 @@ class TestDiagnostics:
 
     def test_check_feasibility_respects_partition_sides(self, pair2):
         c = Constraints(np.array([10.0, 4.0]), np.array([8.0, 5.0]))
-        p = classify(pair2, c)
+        supply = classify(pair2, c)
         # violations on the pinned side are never reported: only the
         # endogenous quantities are diagnosed
-        sol = check_feasibility(np.array([9.0, 4.0]), np.array([-2.0, 1.3]), p, c)
+        sol = check_feasibility(np.array([9.0, 4.0]), np.array([-2.0, 1.3]), supply, c)
         assert not sol.negative_consumption.any()
-        sol = check_feasibility(np.array([20.0, 4.0]), np.array([8.0, 1.3]), p, c)
+        sol = check_feasibility(np.array([20.0, 4.0]), np.array([8.0, 1.3]), supply, c)
         npt.assert_array_equal(sol.output_above_max, [True, False])
         assert not sol.feasible
 
     def test_tolerance_scales_with_magnitude(self, pair2):
         c = Constraints(np.array([10.0, 4.0]), np.array([8.0, 5.0]))
-        p = classify(pair2, c)
+        supply = classify(pair2, c)
         x = np.array([1.0e9, 4.0])
-        sol = check_feasibility(x, np.array([8.0, -0.1]), p, c)
+        sol = check_feasibility(x, np.array([8.0, -0.1]), supply, c)
         # an absolute 0.1 violation is below the relative tolerance here
         assert not sol.negative_consumption.any()
