@@ -87,8 +87,8 @@ def build_economy(Z, f, labels=None) -> Economy:
     """
     Z = np.asarray(Z, dtype=float)
     f = np.asarray(f, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-        raise DimensionMismatch(f"flow matrix must be square, got {Z.shape}")
+    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or Z.shape[0] == 0:
+        raise DimensionMismatch(f"flow matrix must be square and nonempty, got {Z.shape}")
     n = Z.shape[0]
     if f.shape != (n,):
         raise DimensionMismatch(f"final demand has shape {f.shape}, expected ({n},)")

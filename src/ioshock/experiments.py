@@ -3,7 +3,8 @@
 Both sweeps evaluate every requested propagation method on identical
 constraints at each grid point and emit one flat record per evaluation.
 Random seeds are derived from (master seed, grid index, replicate,
-sample), so reruns are bit-identical.
+stream tag[, sample]), the tag 1 for a link removal and 2 for a random
+ranking, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -137,14 +138,11 @@ class SweepSummary:
     q75_consumption: float
 
 
-def _sample_seed(master, grid_index, replicate, sample):
-    return np.random.SeedSequence([int(master), int(grid_index),
-                                   int(replicate), 2, int(sample)])
-
-
-def _removal_seed(master, grid_index, replicate):
-    return np.random.SeedSequence([int(master), int(grid_index),
-                                   int(replicate), 1])
+def _seed(*key):
+    """The seed of one random stream: (master, grid index, replicate, 1)
+    for a link removal, (master, grid index, replicate, 2, sample) for a
+    random ranking."""
+    return np.random.SeedSequence([int(k) for k in key])
 
 
 def run_method(method, e, op, c, max_iter=MAX_ITER, seed=None):
@@ -193,9 +191,9 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicates,
         for method in spec.methods:
             samples = spec.random_samples if method == "random" else 1
             for k in range(samples):
-                # only the random rule draws numbers; building a SeedSequence
+                # only the random rule draws numbers; building a seed sequence
                 # for the others would import numpy.random for nothing
-                seed = (_sample_seed(spec.master_seed, grid_index, rep, k)
+                seed = (_seed(spec.master_seed, grid_index, rep, 2, k)
                         if method == "random" else None)
                 try:
                     allocation = run_method(method, e, op, c, spec.max_iter, seed)
@@ -252,7 +250,7 @@ def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):
             if spec.removal_mode == "smallest_first":
                 links = smallest_links(e, k)
             else:
-                rng = np.random.default_rng(_removal_seed(spec.master_seed, g, rep))
+                rng = np.random.default_rng(_seed(spec.master_seed, g, rep, 1))
                 chosen = rng.choice(rows.size, size=k, replace=False)
                 links = rows[chosen], cols[chosen]
             e2 = remove_links(e, *links)

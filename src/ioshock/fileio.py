@@ -32,7 +32,7 @@ from .errors import (
     UnknownIndustry,
 )
 from .experiments import AllocationRow, SweepRecord, SweepSummary
-from .shocks import ShockScenario, supply_shock
+from .shocks import ShockScenario, _unit_interval, supply_shock
 
 ECONOMY_GROSS_OUTPUT_RTOL = 1e-6
 
@@ -200,14 +200,9 @@ def parse_shocks_csv(path, labels, percent=False, allow_missing=False) -> ShockS
         values = [scale * _parse_float(cell, path, lineno, col)
                   for col, cell in enumerate(row[1:], start=1)]
         try:
-            if raw:
-                rli, essential, demand = values
-                eps_s[i] = supply_shock(rli, essential)
-                eps_d[i] = _require_unit(demand, "demand_shock")
-            else:
-                supply, demand = values
-                eps_s[i] = _require_unit(supply, "supply_shock")
-                eps_d[i] = _require_unit(demand, "demand_shock")
+            eps_s[i] = (supply_shock(values[0], values[1]) if raw
+                        else _unit_interval("supply_shock", values[0]))
+            eps_d[i] = _unit_interval("demand_shock", values[-1])
         except OutOfRange as exc:
             raise OutOfRange(f"{path}:{lineno}: {exc}") from None
 
@@ -217,12 +212,6 @@ def parse_shocks_csv(path, labels, percent=False, allow_missing=False) -> ShockS
             f"{path}: no shock row for {missing[:5]}; pass allow_missing to zero-fill"
         )
     return ShockScenario(eps_s, eps_d)
-
-
-def _require_unit(value, name):
-    if not 0 <= value <= 1:
-        raise OutOfRange(f"{name} {value} outside [0, 1]")
-    return value
 
 
 def _fmt(v):

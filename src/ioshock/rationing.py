@@ -59,15 +59,10 @@ TOL = 1e-10
 MAX_ITER = 10**6
 
 
-def _proportional_ratios(d, avail):
+def _share(have, need):
+    """have / need elementwise, inf where nothing is needed (need <= 0)."""
     with np.errstate(divide="ignore"):
-        return np.where(d > 0, avail / np.where(d > 0, d, 1.0), np.inf)
-
-
-def _mixed_ratios(d, avail, A):
-    inter = A @ d
-    with np.errstate(divide="ignore"):
-        return np.where(inter > 0, avail / np.where(inter > 0, inter, 1.0), np.inf)
+        return np.where(need > 0, have / np.where(need > 0, need, 1.0), np.inf)
 
 
 def _bottleneck(r, has_supplier):
@@ -92,8 +87,7 @@ def _priority_bottleneck(d, avail, cols, coef):
     cum_before = np.zeros_like(w)
     np.cumsum(w[:, :-1], axis=1, out=cum_before[:, 1:])
     remaining = np.maximum(avail[:, None] - cum_before, 0.0)
-    with np.errstate(divide="ignore"):
-        r = np.where(w > 0, remaining / np.where(w > 0, w, 1.0), np.inf)
+    r = _share(remaining, w)
     # each row of cols holds distinct customers, so one scatter into a grid
     # of ones puts every ratio in its own cell; min is exact in any order
     grid = np.ones((d.size, d.size))
@@ -105,9 +99,9 @@ def _iterate(e, op, c, max_iter, bottleneck, method):
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     A, L = op.A, op.L
-    floor = 1e-12 * e.x.sum()
+    # positive even with no (or subnormal) output, so 0 / floor is 0, not NaN
+    floor = max(1e-12 * e.x.sum(), np.finfo(float).tiny)
     d = L @ c.f_max
-    x = f = None
     residual = gap_prev = best = checked = np.inf
     for t in range(1, max_iter + 1):
         s = bottleneck(d, c.x_max)
@@ -115,8 +109,8 @@ def _iterate(e, op, c, max_iter, bottleneck, method):
         f = np.minimum(c.f_max, np.maximum(x - A @ x, 0.0))
         d_next = L @ f
         # demand change between sweeps, and shortfall of output behind demand
-        moved = float(np.max(np.abs(d_next - d) / np.maximum(d, floor))) if d.size else 0.0
-        gap = float(np.max(np.abs(x - d_next) / np.maximum(d_next, floor))) if d.size else 0.0
+        moved = float(np.max(np.abs(d_next - d) / np.maximum(d, floor)))
+        gap = float(np.max(np.abs(x - d_next) / np.maximum(d_next, floor)))
         residual = max(moved, gap)
         d = d_next
         if residual <= TOL:
@@ -155,7 +149,7 @@ def ration_proportional(e: Economy, op: LeontiefOperator, c: Constraints,
     has_supplier = op.A > 0
     return _iterate(
         e, op, c, max_iter,
-        lambda d, avail: _bottleneck(_proportional_ratios(d, avail), has_supplier),
+        lambda d, avail: _bottleneck(_share(avail, d), has_supplier),
         "proportional",
     )
 
@@ -167,7 +161,7 @@ def ration_mixed(e: Economy, op: LeontiefOperator, c: Constraints,
     has_supplier = op.A > 0
     return _iterate(
         e, op, c, max_iter,
-        lambda d, avail: _bottleneck(_mixed_ratios(d, avail, op.A), has_supplier),
+        lambda d, avail: _bottleneck(_share(avail, op.A @ d), has_supplier),
         "mixed",
     )
 

@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, OutOfRange, ZeroAggregate
 
 def _unit_interval(name, value):
     a = np.asarray(value, dtype=float)
-    if np.any(a < 0) or np.any(a > 1):
+    if ((a < 0) | (a > 1)).any():
         raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
     return a
 

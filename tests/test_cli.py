@@ -293,6 +293,13 @@ class TestExitStatus:
                             "--shocks", str(shocks)]) == 1
         assert capsys.readouterr().err == "error: total baseline output is zero\n"
 
+    def test_economy_without_industries_exits_one(self, tmp_path, capsys):
+        economy = tmp_path / "economy.csv"
+        economy.write_text("industry,final_demand,gross_output\n", encoding="utf-8")
+        assert run_command(["validate", "--economy", str(economy)]) == 1
+        assert capsys.readouterr().err == (
+            "error: flow matrix must be square and nonempty, got (0, 0)\n")
+
 
 def child_env():
     """The environment of a child process that imports this ioshock."""
@@ -476,6 +483,26 @@ class TestRun:
         assert failed["error"].startswith("simplex terminated")
         (row,) = [r for r in summary if r["method"] == "lp_consumption"]
         assert (row["count"], row["failures"]) == ("1", "1")
+
+    def test_economy_without_output_finishes(self, tmp_path):
+        """Every rationing rule converges at sweep 1 on an economy with no
+        output, so run finishes well within the timeout; run as a program,
+        since a run that never stops could not be interrupted in-process."""
+        economy = tmp_path / "economy.csv"
+        shocks = tmp_path / "shocks.csv"
+        economy.write_text("industry,a,b,final_demand\na,0,0,0\nb,0,0,0\n",
+                           encoding="utf-8")
+        shocks.write_text(TWO_SHOCKS, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from ioshock.cli import main; main()", "run",
+             "--economy", str(economy), "--shocks", str(shocks),
+             "--out", str(tmp_path / "out"), "--samples", "2"],
+            capture_output=True, text=True, env=child_env(), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        _, sweep = read_table(tmp_path / "out" / "sweep.csv")
+        assert len(sweep) == 7 + 2
+        assert all(r["converged"] == "true" and r["total_output"] == "0.0"
+                   for r in sweep)
 
     def test_reps_are_replicates(self, files, capsys):
         assert run_command(["run", "--economy", files["economy"],

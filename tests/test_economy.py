@@ -60,6 +60,8 @@ class TestBuildEconomy:
             build_economy(np.zeros((2, 3)), [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             build_economy(np.zeros((2, 2)), [1.0, 1.0, 1.0])
+        with pytest.raises(DimensionMismatch, match="nonempty"):
+            build_economy(np.zeros((0, 0)), np.zeros(0))
 
     def test_negative_value_added_flagged(self):
         # industry 2 buys more than its own output value

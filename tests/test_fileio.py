@@ -471,10 +471,18 @@ class TestParseShocks:
         with pytest.raises(ParseError, match="duplicate"):
             parse_shocks_csv(write(tmp_path, "s.csv", text), self.LABELS)
 
-    def test_out_of_range_reports_location(self, tmp_path):
-        text = ("industry,supply_shock,demand_shock\n"
-                "upstream,0.5,0\nparts,1.5,0\ngoods,0,0\n")
-        with pytest.raises(OutOfRange, match=r"s\.csv:3"):
+    @pytest.mark.parametrize("header,row,name", [
+        ("supply_shock,demand_shock", "1.5,0", "supply_shock"),
+        ("supply_shock,demand_shock", "0,3", "demand_shock"),
+        ("rli,essential_share,demand_shock", "1.5,0,0", "rli"),
+        ("rli,essential_share,demand_shock", "0,-0.5,0", "essential"),
+        ("rli,essential_share,demand_shock", "0,0,3", "demand_shock"),
+    ], ids=["supply_shock", "demand_shock", "rli", "essential_share",
+            "raw_demand_shock"])
+    def test_out_of_range_reports_location(self, tmp_path, header, row, name):
+        zeros = ",0" * (header.count(",") + 1)
+        text = f"industry,{header}\nupstream{zeros}\nparts,{row}\ngoods{zeros}\n"
+        with pytest.raises(OutOfRange, match=rf"s\.csv:3: {name} must lie in \[0, 1\]"):
             parse_shocks_csv(write(tmp_path, "s.csv", text), self.LABELS)
 
     @pytest.mark.parametrize("text", [

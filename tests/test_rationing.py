@@ -28,9 +28,8 @@ from ioshock import (
 from ioshock.rationing import (
     STALL_WINDOW,
     _bottleneck,
-    _mixed_ratios,
     _priority_bottleneck,
-    _proportional_ratios,
+    _share,
     largest_first_rankings,
     random_rankings,
 )
@@ -196,6 +195,18 @@ class TestStopReason:
         res = ration_proportional(e, op, c, max_iter=120)
         assert res.stop_reason == "max_iter" and not res.converged
         assert res.iterations == 120 and res.residual > 1e-10
+
+    @pytest.mark.parametrize("rule", [*ALGORITHMS, partial(ration_random, seed=0)],
+                             ids=["proportional", "mixed", "largest_first", "random"])
+    def test_economy_without_output_converges_at_once(self, rule):
+        # the residual's demand floor is positive even at zero total output,
+        # so the zero residual is 0 rather than 0/0 = NaN, which no stop
+        # test would catch before max_iter
+        e = build_economy(np.zeros((2, 2)), np.zeros(2))
+        res = rule(e, coefficients(e), no_shock(e), max_iter=500)
+        assert res.stop_reason == "converged" and res.iterations == 1
+        assert res.residual == 0.0 and res.feasible
+        assert not res.x.any() and not res.f.any()
 
 
 class TestOptions:
@@ -397,7 +408,7 @@ class TestKernels:
         assert np.all(coef[~real] == 0.0)
         assert np.array_equal(_priority_bottleneck(d, avail, cols, coef),
                               loop_priority_bottleneck(d, avail, A, rankings))
-        for r in (_proportional_ratios(d, avail), _mixed_ratios(d, avail, A)):
+        for r in (_share(avail, d), _share(avail, A @ d)):
             assert np.array_equal(_bottleneck(r, A > 0), loop_bottleneck(r, A))
 
     @settings(max_examples=100, deadline=None)
