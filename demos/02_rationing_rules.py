@@ -60,7 +60,8 @@ def main():
 
     spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),),
                      random_samples=100, master_seed=0)
-    (stats,) = summarize(sweep_scale(e, s, spec))
+    records, _ = sweep_scale(e, s, spec)
+    (stats,) = summarize(records)
     # summaries hold output normalized by the baseline total
     mean, q25, q50, q75 = (e.x.sum() * v for v in (
         stats.mean_output, stats.q25_output, stats.q50_output, stats.q75_output))

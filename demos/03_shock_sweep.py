@@ -27,7 +27,8 @@ def main():
     grid = tuple((a / 10.0, a / 10.0) for a in range(11))
     spec = SweepSpec(methods=METHODS, grid=grid, random_samples=25,
                      master_seed=42)
-    summaries = summarize(sweep_scale(e, s, spec))
+    records, _ = sweep_scale(e, s, spec)
+    summaries = summarize(records)
 
     print("normalized total output by shock scale")
     print("alpha  " + "".join(f"{m:>15}" for m in METHODS))

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``validate`` (parse and report invariants), ``shock`` (emit
-constraint ceilings), ``run`` (all methods on one scenario),
-``sweep-scale`` and ``sweep-density``. Exit status is 0 on success, 1 on
-bad input (an ``InputError``: unreadable or malformed files, bad flag
-values, an output directory that cannot be written, or an economy that
-is not productive, has an industry with inputs but no output, or has no
-output at all), 2 on a computation error.
+constraint ceilings), ``sweep-scale`` (all methods at each point of an
+alpha grid), ``run`` (its one-point case) and ``sweep-density``. Exit
+status is 0 on success, 1 on bad input (an ``InputError``: unreadable
+or malformed files, bad flag values, an output directory that cannot be
+written, or an economy that is not productive, has an industry with
+inputs but no output, or has no output at all), 2 on a computation
+error.
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ import sys
 from . import __version__
 from .economy import coefficients, metrics
 from .errors import InputError, IoShockError, ParseError
-from .experiments import (
-    ALL_METHODS,
-    AllocationRow,
-    SweepSpec,
-    evaluate_point,
-    summarize,
-    sweep_density,
-    sweep_scale,
-)
+from .experiments import ALL_METHODS, SweepSpec, summarize, sweep_density, sweep_scale
 from .fileio import file_digest, parse_economy_csv, parse_shocks_csv, write_results
 from .rationing import GENERATOR_NAME, MAX_ITER, TOL
 from .shocks import aggregate_shocks, make_constraints
@@ -228,16 +221,18 @@ def _unit_grid(text, flag):
 
 
 def _alphas(args):
-    """The (alpha_supply, alpha_demand) grids of the command line."""
-    return (_unit_grid(args.alpha_supply, "--alpha-supply"),
-            _unit_grid(args.alpha_demand, "--alpha-demand"))
+    """The (alpha_supply, alpha_demand) grids of the command line; every
+    command but sweep-scale takes one value of each."""
+    a_s = _unit_grid(args.alpha_supply, "--alpha-supply")
+    a_d = _unit_grid(args.alpha_demand, "--alpha-demand")
+    if args.command != "sweep-scale" and (len(a_s) != 1 or len(a_d) != 1):
+        raise ParseError(f"{args.command} takes scalar alpha values")
+    return a_s, a_d
 
 
 def _scenario_at(scenario, args):
-    a_s, a_d = _alphas(args)
-    if len(a_s) != 1 or len(a_d) != 1:
-        raise ParseError(f"{args.command} takes scalar alpha values")
-    return scenario.with_alphas(a_s[0], a_d[0])
+    (a_s,), (a_d,) = _alphas(args)
+    return scenario.with_alphas(a_s, a_d)
 
 
 def _cmd_shock(args):
@@ -269,33 +264,19 @@ def _write(args, records, allocations=None, **extra):
     return 0
 
 
-def _cmd_run(args):
-    economy, scenario = _load(args)
-    scenario = _scenario_at(scenario, args)
-    a_s, a_d = scenario.alpha_supply, scenario.alpha_demand
-    spec = _spec(args, ((a_s, a_d),))
-    op = coefficients(economy)
-    c = make_constraints(economy, scenario)
-    records, allocations = evaluate_point(economy, op, c, spec, 0,
-                                          range(spec.repetitions), a_s, a_d)
-    for r in records:
-        # allocations.csv holds replicate 0, sample 0, so warn about that one
-        first = r.replicate == 0 and r.sample == 0
-        if first and r.error:
-            print(f"warning: {r.method} failed: {r.error}", file=sys.stderr)
-        elif first and not r.converged:
-            print(f"warning: {r.method} did not converge", file=sys.stderr)
-    rows = (AllocationRow(label, a.method, a.x[i], a.f[i], c.x_max[i],
-                          c.f_max[i], a.feasible, a.iterations)
-            for a in allocations for i, label in enumerate(economy.labels))
-    return _write(args, records, rows)
-
-
 def _cmd_sweep_scale(args):
+    """sweep-scale, and run as its one-point case."""
     economy, scenario = _load(args)
     a_s, a_d = _alphas(args)
     spec = _spec(args, tuple((s, d) for s in a_s for d in a_d))
-    return _write(args, sweep_scale(economy, scenario, spec))
+    records, rows = sweep_scale(economy, scenario, spec)
+    for r in records:
+        # allocations.csv holds replicate 0, sample 0, so warn about that one
+        if r.replicate == 0 and r.sample == 0 and (r.error or not r.converged):
+            at = f"at alpha_supply={r.alpha_supply}, alpha_demand={r.alpha_demand}"
+            problem = f"failed {at}: {r.error}" if r.error else f"did not converge {at}"
+            print(f"warning: {r.method} {problem}", file=sys.stderr)
+    return _write(args, records, rows)
 
 
 def _cmd_sweep_density(args):
@@ -318,7 +299,7 @@ def _cmd_sweep_density(args):
 _COMMANDS = {
     "validate": _cmd_validate,
     "shock": _cmd_shock,
-    "run": _cmd_run,
+    "run": _cmd_sweep_scale,
     "sweep-scale": _cmd_sweep_scale,
     "sweep-density": _cmd_sweep_density,
 }

@@ -77,13 +77,26 @@ class EconomyMetrics:
     total_consumption: float
 
 
+def _check_entries(name, a):
+    """Raise NegativeEntry, naming the first offending entry of array
+    ``name``, unless every entry of ``a`` is a finite number >= 0."""
+    # two reductions and no array-sized temporary; NaN fails both tests
+    if a.size == 0 or (a.min() >= 0 and a.max() < np.inf):
+        return
+    index = tuple(int(k) for k in np.argwhere(~((a >= 0) & (a < np.inf)))[0])
+    value = a[index]
+    what = "negative" if np.isfinite(value) else "not finite"
+    raise NegativeEntry(f"{name}[{','.join(map(str, index))}] = {value} is {what}")
+
+
 def build_economy(Z, f, labels=None) -> Economy:
     """Construct an Economy from a flow matrix and final demand.
 
     Gross output and value added are derived from the two accounting
     identities. The caller hands Z and f over: float arrays are kept, not
     copied, and made read-only; lists and other dtypes are copied first.
-    Raises NegativeEntry or DimensionMismatch on bad input.
+    Raises NegativeEntry for an entry that is not a finite number >= 0,
+    DimensionMismatch for bad shapes.
     """
     Z = np.asarray(Z, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -92,12 +105,8 @@ def build_economy(Z, f, labels=None) -> Economy:
     n = Z.shape[0]
     if f.shape != (n,):
         raise DimensionMismatch(f"final demand has shape {f.shape}, expected ({n},)")
-    if np.any(Z < 0):
-        i, j = np.argwhere(Z < 0)[0]
-        raise NegativeEntry(f"Z[{i},{j}] = {Z[i, j]} is negative")
-    if np.any(f < 0):
-        i = int(np.argmin(f))
-        raise NegativeEntry(f"f[{i}] = {f[i]} is negative")
+    _check_entries("Z", Z)
+    _check_entries("f", f)
     if labels is None:
         labels = tuple(f"I{k + 1}" for k in range(n))
     else:

@@ -15,7 +15,7 @@ class DimensionMismatch(InputError):
 
 
 class NegativeEntry(InputError):
-    """A flow or final-demand entry is negative."""
+    """A flow, final-demand or ceiling entry is negative or not finite."""
 
 
 class ZeroOutputWithInputs(InputError):

@@ -108,6 +108,8 @@ class SweepRecord:
 class AllocationRow:
     """One row of allocations.csv, whose columns are these fields in order."""
 
+    alpha_supply: float
+    alpha_demand: float
     industry: str
     method: str
     x: float
@@ -214,14 +216,26 @@ def evaluate_point(e, op, c, spec: SweepSpec, grid_index, replicates,
 
 def sweep_scale(e: Economy, s: ShockScenario, spec: SweepSpec):
     """Rebuild constraints at each (alpha_supply, alpha_demand) grid point
-    and evaluate every method on them."""
+    and evaluate every method on them.
+
+    Returns the records and a one-pass generator of AllocationRow: per grid
+    point, one block of ``e.n`` rows for each method that did not raise,
+    from its replicate-0, sample-0 allocation.
+    """
     op = coefficients(e)
     records = []
+    points = []
     for g, (a_s, a_d) in enumerate(spec.grid):
         c = make_constraints(e, s.with_alphas(a_s, a_d))
-        records += evaluate_point(e, op, c, spec, g, range(spec.repetitions),
-                                  a_s, a_d)[0]
-    return records
+        found, allocations = evaluate_point(e, op, c, spec, g, range(spec.repetitions),
+                                            a_s, a_d)
+        records += found
+        points.append((a_s, a_d, c, allocations))
+    rows = (AllocationRow(a_s, a_d, label, a.method, a.x[i], a.f[i], c.x_max[i],
+                          c.f_max[i], a.feasible, a.iterations)
+            for a_s, a_d, c, allocations in points
+            for a in allocations for i, label in enumerate(e.labels))
+    return records, rows
 
 
 def sweep_density(e: Economy, s: ShockScenario, spec: SweepSpec):

@@ -252,7 +252,7 @@ def write_results(out_dir, allocations, sweep_records, summaries, provenance):
     """Write allocations.csv, sweep.csv and summary.csv into out_dir and
     return their paths. Each table's columns are the fields of its record
     type, so a table with no records still has its header. ``allocations``
-    None writes no allocations.csv, as for a sweep."""
+    None writes no allocations.csv, as for a density sweep."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, kind, records in (("allocations.csv", AllocationRow, allocations),

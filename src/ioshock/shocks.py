@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .economy import Economy, LeontiefOperator, total_demand
+from .economy import Economy, LeontiefOperator, _check_entries, total_demand
 from .errors import DimensionMismatch, OutOfRange, ZeroAggregate
 
 
 def _unit_interval(name, value):
     a = np.asarray(value, dtype=float)
-    if ((a < 0) | (a > 1)).any():
+    # one test that NaN fails too
+    if not ((a >= 0) & (a <= 1)).all():
         raise OutOfRange(f"{name} must lie in [0, 1], got {value}")
     return a
 
@@ -45,10 +46,23 @@ class ShockScenario:
 
 @dataclass(frozen=True)
 class Constraints:
-    """Output and consumption ceilings in currency per period."""
+    """Output and consumption ceilings in currency per period: two 1-D
+    arrays of one shape (else DimensionMismatch), every entry a finite
+    number >= 0 (else NegativeEntry)."""
 
     x_max: np.ndarray
     f_max: np.ndarray
+
+    def __post_init__(self):
+        x_max = np.asarray(self.x_max, dtype=float)
+        f_max = np.asarray(self.f_max, dtype=float)
+        if x_max.ndim != 1 or x_max.shape != f_max.shape:
+            raise DimensionMismatch(f"ceilings must be 1-D of one shape, got "
+                                    f"x_max {x_max.shape} and f_max {f_max.shape}")
+        _check_entries("x_max", x_max)
+        _check_entries("f_max", f_max)
+        object.__setattr__(self, "x_max", x_max)
+        object.__setattr__(self, "f_max", f_max)
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ def test_pair2_fixture_table(pair2, pair2_op, pair2_constraints, pair2_scenario)
     npt.assert_array_equal(same.x_max, c.x_max)
     npt.assert_array_equal(same.f_max, c.f_max)
     spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),), random_samples=100)
-    (stats,) = summarize(sweep_scale(e, pair2_scenario, spec))
+    (stats,) = summarize(sweep_scale(e, pair2_scenario, spec)[0])
     assert stats.q75_output - stats.q25_output == pytest.approx(0.0, abs=1e-12)
 
 
@@ -141,7 +141,7 @@ def test_demand_only_linearity(chain3):
         s = ShockScenario(np.zeros(e.n), rng.random(e.n))
         spec = SweepSpec(methods=methods,
                          grid=tuple((0.0, a) for a in alphas))
-        records = sweep_scale(e, s, spec)
+        records, _ = sweep_scale(e, s, spec)
         curve = {}
         for r in records:
             curve.setdefault(r.alpha_demand, []).append(r.norm_output)
@@ -238,8 +238,8 @@ def test_density_sweep_ends(chain3, chain3_scenario):
     current = 2.0 / 9.0
     spec = SweepSpec(grid=(current,), random_samples=3)
     dens = sweep_density(chain3, chain3_scenario, spec)
-    plain = sweep_scale(chain3, chain3_scenario,
-                        SweepSpec(grid=((1.0, 1.0),), random_samples=3))
+    plain, _ = sweep_scale(chain3, chain3_scenario,
+                           SweepSpec(grid=((1.0, 1.0),), random_samples=3))
     assert len(dens) == len(plain)
     for d, p in zip(dens, plain):
         assert (d.method, d.sample) == (p.method, p.sample)
@@ -266,7 +266,7 @@ def test_sweep_determinism(tmp_path, chain3, chain3_scenario):
     def emit(tag):
         spec = SweepSpec(grid=tuple((a, a) for a in (0.0, 0.5, 1.0)),
                          repetitions=2, random_samples=5, master_seed=7)
-        records = sweep_scale(chain3, chain3_scenario, spec)
+        records, _ = sweep_scale(chain3, chain3_scenario, spec)
         return write_results(tmp_path / tag, [], records,
                              summarize(records), {"master_seed": 7})
 

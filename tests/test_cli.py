@@ -469,8 +469,9 @@ class TestRun:
                             "--shocks", files["shocks"], "--out", files["out"],
                             "--methods", methods, "--samples", "5"]) == 0
         captured = capsys.readouterr()
-        assert captured.err == ("warning: lp_consumption failed: simplex "
-                                "terminated at a point violating its bounds\n")
+        assert captured.err == ("warning: lp_consumption failed at alpha_supply=1.0, "
+                                "alpha_demand=1.0: simplex terminated at a point "
+                                "violating its bounds\n")
         paths = captured.out.splitlines()
         allocation, sweep, summary = (read_table(p)[1] for p in paths)
         assert "lp_consumption" not in {r["method"] for r in allocation}
@@ -537,6 +538,92 @@ class TestRun:
         assert [file_digest(p) for p in o1] == [file_digest(p) for p in o2]
 
 
+#: chain3 with a demand shock too, so that f_max moves with alpha_demand
+DEMAND_SHOCKS = """\
+industry,supply_shock,demand_shock
+upstream,0.5,0.25
+parts,0,0.5
+goods,0.2,0
+"""
+
+
+class TestOnePath:
+    """run is the one-point case of sweep-scale: one command function and
+    one evaluation loop."""
+
+    @pytest.fixture
+    def shocked(self, tmp_path, files):
+        path = tmp_path / "demand_shocks.csv"
+        path.write_text(DEMAND_SHOCKS, encoding="utf-8")
+        return dict(files, shocks=str(path))
+
+    def test_run_is_a_one_point_sweep(self, tmp_path, shocked, capsys):
+        flags = ["--economy", shocked["economy"], "--shocks", shocked["shocks"],
+                 "--alpha-supply", "0.5", "--alpha-demand", "0.75",
+                 "--reps", "2", "--samples", "3", "--seed", "7"]
+        for command in ("run", "sweep-scale"):
+            assert run_command([command, *flags, "--out", str(tmp_path / command)]) == 0
+        names = ["allocations.csv", "sweep.csv", "summary.csv"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names)
+        for name in names:
+            assert ((tmp_path / "run" / name).read_bytes()
+                    == (tmp_path / "sweep-scale" / name).read_bytes()), name
+
+    def test_sweep_keeps_every_points_allocations(self, shocked, capsys):
+        assert run_command(["sweep-scale", "--economy", shocked["economy"],
+                            "--shocks", shocked["shocks"], "--out", shocked["out"],
+                            "--alpha-supply", "0:1:0.5", "--alpha-demand", "0.5:1:0.5",
+                            "--reps", "2", "--samples", "3"]) == 0
+        paths = capsys.readouterr().out.splitlines()
+        (_, allocation), (_, sweep) = read_table(paths[0]), read_table(paths[1])
+        blocks = {}
+        for r in allocation:
+            blocks.setdefault((r["alpha_supply"], r["alpha_demand"], r["method"]),
+                              []).append(r)
+        firsts = {(r["alpha_supply"], r["alpha_demand"], r["method"]): r
+                  for r in sweep if r["replicate"] == "0" and r["sample"] == "0"}
+        # 3 x 2 points x 8 methods, and no method failed
+        assert len(firsts) == 48
+        assert sorted(blocks) == sorted(firsts)
+        for (a_s, a_d, method), block in blocks.items():
+            assert [r["industry"] for r in block] == ["upstream", "parts", "goods"]
+            record = firsts[a_s, a_d, method]
+            for column, total in (("x", "total_output"), ("f", "total_consumption")):
+                assert sum(float(r[column]) for r in block) == pytest.approx(
+                    float(record[total]), rel=1e-12, abs=0), (a_s, a_d, method)
+        for a_s, a_d, _ in firsts:
+            assert run_command(["shock", "--economy", shocked["economy"],
+                                "--shocks", shocked["shocks"],
+                                "--alpha-supply", a_s, "--alpha-demand", a_d]) == 0
+            ceilings = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+            for method in experiments.ALL_METHODS:
+                block = blocks[a_s, a_d, method]
+                assert [(r["x_max"], r["f_max"]) for r in block] == [
+                    (c["x_max"], c["f_max"]) for c in ceilings]
+
+    def test_warnings_name_the_point(self, files, capsys):
+        assert run_command(["sweep-scale", "--economy", files["economy"],
+                            "--shocks", files["shocks"], "--out", files["out"],
+                            "--alpha-supply", "0:1:0.5", "--max-iter", "1",
+                            "--methods", "proportional,direct"]) == 0
+        # at alpha 0 no supplier rations, so one sweep converges
+        assert capsys.readouterr().err == (
+            "warning: proportional did not converge at alpha_supply=0.5, "
+            "alpha_demand=1.0\n"
+            "warning: proportional did not converge at alpha_supply=1.0, "
+            "alpha_demand=1.0\n")
+
+    @pytest.mark.parametrize("command", ["run", "sweep-density"])
+    def test_grid_alpha_rejected(self, files, capsys, command):
+        argv = [command, "--economy", files["economy"], "--shocks", files["shocks"],
+                "--out", files["out"], "--alpha-supply", "0:1:0.5"]
+        if command == "sweep-density":
+            argv += ["--densities", "0.1"]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == f"error: {command} takes scalar alpha values\n"
+        assert not os.path.exists(files["out"])
+
+
 class TestSweepScale:
     def test_grid_record_count(self, files, capsys):
         code = run_command(["sweep-scale", "--economy", files["economy"],
@@ -546,9 +633,9 @@ class TestSweepScale:
                             "--out", files["out"]])
         assert code == 0
         paths = capsys.readouterr().out.splitlines()
-        # a sweep keeps no single point's allocations
-        assert [p.split("/")[-1] for p in paths] == ["sweep.csv", "summary.csv"]
-        _, rows = read_table(paths[0])
+        assert [p.split("/")[-1] for p in paths] == [
+            "allocations.csv", "sweep.csv", "summary.csv"]
+        _, rows = read_table(paths[1])
         assert len(rows) == 11 * 2
         assert len({r["alpha_supply"] for r in rows}) == 11
         baseline = [r for r in rows if float(r["alpha_supply"]) == 0.0]
@@ -607,9 +694,11 @@ class TestTracedRun:
         assert dict(tracer.counts) == {
             "converged_iters": 10,
             "economy.coefficients.calls": 1,
+            "experiments.evaluate_point.calls": 1,
             "experiments.run_method.calls": 9,
             "experiments.summarize.calls": 1,
-            "fileio.bytes": 4471,
+            "experiments.sweep_scale.calls": 1,
+            "fileio.bytes": 4689,
             "fileio.parse_economy_csv.calls": 1,
             "fileio.parse_shocks_csv.calls": 1,
             "fileio.write_results.calls": 1,

@@ -55,6 +55,16 @@ class TestBuildEconomy:
         with pytest.raises(NegativeEntry):
             build_economy(np.zeros((2, 2)), [1.0, -1.0])
 
+    @pytest.mark.parametrize("Z,f,message", [
+        # NaN once surfaced as a singular (I - A); an infinite final demand
+        # once gave x = [inf, 2] and dropped industry 0's inputs from A
+        ([[0.0, 1.0], [np.nan, 0.0]], [1.0, 1.0], r"Z\[1,0\] = nan is not finite"),
+        ([[0.0, 1.0], [0.0, 0.0]], [np.inf, 1.0], r"f\[0\] = inf is not finite"),
+    ], ids=["nan_flow", "inf_final_demand"])
+    def test_non_finite_entry_rejected(self, Z, f, message):
+        with pytest.raises(NegativeEntry, match=message):
+            build_economy(Z, f)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             build_economy(np.zeros((2, 3)), [1.0, 1.0])

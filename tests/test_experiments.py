@@ -75,8 +75,8 @@ class TestRunMethod:
 
 class TestSweepScale:
     def test_baseline_point_is_one(self, chain3, chain3_scenario):
-        records = sweep_scale(chain3, chain3_scenario,
-                              SweepSpec(grid=((0.0, 0.0),)))
+        records, _ = sweep_scale(chain3, chain3_scenario,
+                                 SweepSpec(grid=((0.0, 0.0),)))
         assert len(records) == len(ALL_METHODS)
         for r in records:
             assert r.norm_output == pytest.approx(1.0, abs=1e-9)
@@ -84,8 +84,8 @@ class TestSweepScale:
             assert r.feasible and r.converged and not r.error
 
     def test_chain3_full_shock_ordering(self, chain3, chain3_scenario):
-        records = sweep_scale(chain3, chain3_scenario,
-                              SweepSpec(grid=((1.0, 1.0),)))
+        records, _ = sweep_scale(chain3, chain3_scenario,
+                                 SweepSpec(grid=((1.0, 1.0),)))
         norm = {r.method: r.norm_output for r in records}
         assert norm["proportional"] == pytest.approx(0.5)
         assert norm["largest_first"] == pytest.approx(0.625)
@@ -95,7 +95,7 @@ class TestSweepScale:
 
     def test_lp_output_dominates_rationing(self, chain3, chain3_scenario):
         grid = tuple((a, a) for a in np.linspace(0.0, 1.0, 6))
-        records = sweep_scale(chain3, chain3_scenario, SweepSpec(grid=grid))
+        records, _ = sweep_scale(chain3, chain3_scenario, SweepSpec(grid=grid))
         groups = {}
         for r in records:
             groups.setdefault(r.alpha_supply, {})[r.method] = r
@@ -106,7 +106,7 @@ class TestSweepScale:
 
     def test_zero_alpha_supply_makes_methods_coincide(self, chain3):
         grid = tuple((0.0, a) for a in (0.0, 0.4, 0.8))
-        records = sweep_scale(chain3, DEMAND_ONLY, SweepSpec(grid=grid))
+        records, _ = sweep_scale(chain3, DEMAND_ONLY, SweepSpec(grid=grid))
         for r in records:
             # f_max = [4(1 - a/2), 6, 8] and x = L f_max for every method
             # except direct, which stays pinned at the unshocked ceilings
@@ -119,7 +119,7 @@ class TestSweepScale:
 
     def test_affine_in_alpha_demand(self, chain3):
         grid = tuple((0.0, a) for a in (0.0, 0.5, 1.0))
-        records = sweep_scale(chain3, DEMAND_ONLY, SweepSpec(grid=grid))
+        records, _ = sweep_scale(chain3, DEMAND_ONLY, SweepSpec(grid=grid))
         lp = sorted((r for r in records if r.method == "lp_output"),
                     key=lambda r: r.alpha_demand)
         mid = 0.5 * (lp[0].total_output + lp[2].total_output)
@@ -129,7 +129,7 @@ class TestSweepScale:
         grid = tuple((a, 0.0) for a in np.linspace(0.0, 1.0, 11))
         spec = SweepSpec(methods=("proportional", "random"), grid=grid,
                          repetitions=2, random_samples=3)
-        records = sweep_scale(chain3, chain3_scenario, spec)
+        records, _ = sweep_scale(chain3, chain3_scenario, spec)
         # per grid point: 2 reps x (1 proportional + 3 random samples)
         assert len(records) == 11 * 2 * (1 + 3)
         alphas = {r.alpha_supply for r in records}
@@ -145,8 +145,8 @@ class TestSweepDensity:
         current = 2.0 / 9.0
         spec = SweepSpec(grid=(current,), random_samples=2)
         dens = sweep_density(chain3, chain3_scenario, spec)
-        scale = sweep_scale(chain3, chain3_scenario,
-                            SweepSpec(grid=((1.0, 1.0),), random_samples=2))
+        scale, _ = sweep_scale(chain3, chain3_scenario,
+                               SweepSpec(grid=((1.0, 1.0),), random_samples=2))
         assert len(dens) == len(scale)
         for d, s in zip(dens, scale):
             assert d.method == s.method and d.sample == s.sample
@@ -159,8 +159,8 @@ class TestSweepDensity:
         s = chain3_scenario.with_alphas(0.5, 0.5)
         dens = sweep_density(chain3, s, SweepSpec(grid=(2.0 / 9.0,),
                                                   random_samples=2))
-        scale = sweep_scale(chain3, chain3_scenario,
-                            SweepSpec(grid=((0.5, 0.5),), random_samples=2))
+        scale, _ = sweep_scale(chain3, chain3_scenario,
+                               SweepSpec(grid=((0.5, 0.5),), random_samples=2))
         assert [(d.method, d.sample) for d in dens] == [
             (s.method, s.sample) for s in scale]
         for d, s in zip(dens, scale):
@@ -230,7 +230,7 @@ class TestSummarize:
     def test_chain3_pooling(self, chain3, chain3_scenario):
         spec = SweepSpec(grid=((0.0, 0.0), (1.0, 1.0)), repetitions=3,
                          random_samples=4, methods=("proportional", "random"))
-        summaries = summarize(sweep_scale(chain3, chain3_scenario, spec))
+        summaries = summarize(sweep_scale(chain3, chain3_scenario, spec)[0])
         assert len(summaries) == 4  # 2 grid points x 2 methods
         for s in summaries:
             expect = 3 * (4 if s.method == "random" else 1)
@@ -241,7 +241,7 @@ class TestSummarize:
     def test_values_match_manual_aggregation(self, chain3, chain3_scenario):
         spec = SweepSpec(grid=((1.0, 1.0),), methods=("random",),
                          random_samples=16, master_seed=3)
-        records = sweep_scale(chain3, chain3_scenario, spec)
+        records, _ = sweep_scale(chain3, chain3_scenario, spec)
         (s,) = summarize(records)
         vals = np.array([r.norm_output for r in records])
         assert s.mean_output == pytest.approx(vals.mean())
@@ -263,7 +263,7 @@ class TestSummarize:
     def test_sorted_output(self, chain3, chain3_scenario):
         spec = SweepSpec(grid=((1.0, 1.0), (0.0, 0.0)),
                          methods=("mixed", "direct"))
-        summaries = summarize(sweep_scale(chain3, chain3_scenario, spec))
+        summaries = summarize(sweep_scale(chain3, chain3_scenario, spec)[0])
         keys = [(s.alpha_supply, s.method) for s in summaries]
         assert keys == sorted(keys)
 

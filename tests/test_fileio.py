@@ -506,11 +506,12 @@ class TestWriteResults:
     def files(self, tmp_path, chain3, chain3_op, chain3_scenario):
         c = make_constraints(chain3, chain3_scenario)
         a = direct_allocation(chain3_op, c)
-        rows = [AllocationRow(label, a.method, a.x[i], a.f[i], c.x_max[i],
+        a_s, a_d = chain3_scenario.alpha_supply, chain3_scenario.alpha_demand
+        rows = [AllocationRow(a_s, a_d, label, a.method, a.x[i], a.f[i], c.x_max[i],
                               c.f_max[i], a.feasible, a.iterations)
                 for i, label in enumerate(chain3.labels)]
-        records = sweep_scale(chain3, chain3_scenario,
-                              SweepSpec(grid=((0.0, 0.0), (1.0, 1.0))))
+        records, _ = sweep_scale(chain3, chain3_scenario,
+                                 SweepSpec(grid=((0.0, 0.0), (1.0, 1.0))))
         return write_results(tmp_path / "out", rows, records,
                              summarize(records), {"master_seed": 0})
 
@@ -534,8 +535,8 @@ class TestWriteResults:
         headers = [open(p, encoding="utf-8").read().splitlines()[1].split(",")
                    for p in paths]
         assert headers == [
-            ["industry", "method", "x", "f", "x_max", "f_max", "feasible",
-             "iterations"],
+            ["alpha_supply", "alpha_demand", "industry", "method", "x", "f",
+             "x_max", "f_max", "feasible", "iterations"],
             ["alpha_supply", "alpha_demand", "density_target", "method",
              "replicate", "sample", "total_output", "total_consumption",
              "norm_output", "norm_consumption", "feasible", "converged",

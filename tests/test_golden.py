@@ -124,3 +124,66 @@ class TestNumericDiffs:
 
     def test_lost_row_caught(self):
         assert numeric_diffs(self.TABLE, self.TABLE.rsplit("meem", 1)[0]) != []
+
+
+class TestDescribe:
+    """regen.py says what moved before it rewrites the corpus."""
+
+    TABLE = ("# {\"seed\": 7}\n"
+             "alpha_supply,method,sample,total_output,error\n"
+             "0.5,direct,0,19.0,\n"
+             "0.5,random,0,17.0,\n"
+             "0.5,random,1,16.0,\n")
+
+    def write(self, root, files):
+        root.mkdir()
+        for name, text in files.items():
+            (root / name).write_text(text, encoding="utf-8")
+        return root
+
+    def test_unchanged(self):
+        assert regen.describe_table(self.TABLE, self.TABLE) == [
+            "all 3 rows unchanged in the shared columns"]
+
+    def test_moved_rows_keyed_largest_first(self):
+        moved = (self.TABLE.replace("17.0", "17.0000001")
+                 .replace("16.0,", "8.0,singular block"))
+        assert regen.describe_table(self.TABLE, moved) == [
+            "2 of 3 rows moved, largest relative change inf",
+            "  alpha_supply=0.5 method=random sample=1: inf",
+            "  alpha_supply=0.5 method=random sample=0: 5.88e-09"]
+
+    def test_new_header_compares_shared_columns(self):
+        lines = self.TABLE.splitlines()
+        wider = "\n".join([lines[0], "alpha_supply,alpha_demand,method,sample,"
+                           "total_output,error",
+                           *(line.replace("0.5,", "0.5,1.0,", 1)
+                             for line in lines[2:])]) + "\n"
+        assert regen.describe_table(self.TABLE, wider) == [
+            "new header: alpha_supply,alpha_demand,method,sample,total_output,error",
+            "all 3 rows unchanged in the shared columns"]
+
+    def test_rows_added_and_lost(self):
+        fewer = self.TABLE.rsplit("0.5,random,1", 1)[0]
+        more = (self.TABLE.replace("7", "8", 1)  # the provenance line
+                + "1.0,direct,0,20.0,\n")
+        assert regen.describe_table(self.TABLE, fewer) == [
+            "1 rows lost, first: alpha_supply=0.5 method=random sample=1"]
+        assert regen.describe_table(self.TABLE, more) == [
+            "new provenance line",
+            "1 rows added, first: alpha_supply=1.0 method=direct sample=0"]
+
+    def test_files_new_lost_and_unchanged(self, tmp_path):
+        old = self.write(tmp_path / "old", {"sweep.csv": self.TABLE,
+                                            "summary.csv": self.TABLE,
+                                            regen.STDERR: "warning: a\n"})
+        new = self.write(tmp_path / "new", {"sweep.csv": self.TABLE,
+                                            "allocations.csv": self.TABLE,
+                                            regen.STDERR: "warning: b\n"})
+        assert regen.describe(old, new) == [
+            "allocations.csv: new, 3 rows",
+            f"{regen.STDERR}: changed",
+            "  - warning: a",
+            "  + warning: b",
+            "summary.csv: lost",
+            "sweep.csv: unchanged"]

@@ -258,7 +258,7 @@ def random_ensemble(e, scenario, samples, seed):
     """Summary of `samples` random-rationing runs at full shock scale."""
     spec = SweepSpec(methods=("random",), grid=((1.0, 1.0),),
                      random_samples=samples, master_seed=seed)
-    (summary,) = summarize(sweep_scale(e, scenario, spec))
+    (summary,) = summarize(sweep_scale(e, scenario, spec)[0])
     return summary
 
 

@@ -12,7 +12,7 @@ from ioshock import (
     make_constraints,
     supply_shock,
 )
-from ioshock.errors import DimensionMismatch, OutOfRange, ZeroAggregate
+from ioshock.errors import DimensionMismatch, NegativeEntry, OutOfRange, ZeroAggregate
 
 from conftest import random_economy
 
@@ -38,6 +38,10 @@ class TestSupplyShock:
         with pytest.raises(OutOfRange):
             supply_shock(0.5, -0.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(OutOfRange, match="rli must lie in"):
+            supply_shock(np.nan, 0.0)
+
 
 class TestScenario:
     def test_validation(self):
@@ -45,6 +49,39 @@ class TestScenario:
             ShockScenario(np.array([1.5]), np.array([0.0]))
         with pytest.raises(OutOfRange):
             ShockScenario(np.array([0.5]), np.array([0.0]), alpha_supply=2.0)
+
+    def test_nan_shock_rejected(self):
+        with pytest.raises(OutOfRange, match="eps_supply must lie in"):
+            ShockScenario(np.array([np.nan, 0.0]), np.zeros(2))
+
+    def test_nan_alpha_rejected(self):
+        with pytest.raises(OutOfRange, match="alpha_supply must lie in"):
+            ShockScenario(np.zeros(2), np.zeros(2), alpha_supply=np.nan)
+
+
+class TestConstraints:
+    @pytest.mark.parametrize("x_max,message", [
+        # a NaN ceiling once ran every rationing sweep up to max_iter
+        ([np.nan, 1.0], r"x_max\[0\] = nan is not finite"),
+        # a negative one once stalled ration_mixed at x = [-1, 0]
+        ([-1.0, 1.0], r"x_max\[0\] = -1.0 is negative"),
+        ([1.0, np.inf], r"x_max\[1\] = inf is not finite"),
+    ], ids=["nan", "negative", "inf"])
+    def test_bad_ceiling_rejected(self, x_max, message):
+        with pytest.raises(NegativeEntry, match=message):
+            Constraints(np.array(x_max), np.ones(2))
+
+    def test_bad_consumption_ceiling_rejected(self):
+        with pytest.raises(NegativeEntry, match=r"f_max\[1\] = nan"):
+            Constraints(np.ones(2), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("x_max,f_max", [
+        (np.ones(3), np.ones(2)),
+        (np.ones((1, 2)), np.ones((1, 2))),
+    ], ids=["two_lengths", "two_dimensional"])
+    def test_shape_rejected(self, x_max, f_max):
+        with pytest.raises(DimensionMismatch, match="ceilings must be 1-D"):
+            Constraints(x_max, f_max)
 
 
 class TestMakeConstraints:
